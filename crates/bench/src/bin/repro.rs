@@ -10,10 +10,8 @@
 //! also written as JSON under `target/repro/`; the `osd` solver
 //! benchmark additionally writes `BENCH_osd.json`, the `faults`
 //! campaign `BENCH_faults.json`, the `configure` cache/warm-start
-//! benchmark `BENCH_configure.json`, and the `scale` pipeline sweep
-//! `BENCH_scale.json`, and the `federation` shard sweep
-//! `BENCH_federation.json` in the working directory. `scale` reads
-//! `UBIQOS_SCALE_ARRIVALS` (default 100000) and `federation` reads
+//! benchmark `BENCH_configure.json`, and the `federation` shard sweep
+//! `BENCH_federation.json` in the working directory. `federation` reads
 //! `UBIQOS_FED_ARRIVALS` (default 20000) plus `UBIQOS_FED_SHARDS` (a
 //! comma-separated shard-count list, default `1,2,4,8`),
 //! `UBIQOS_FED_LOSS` (comma-separated drop rates), and
@@ -42,7 +40,6 @@ const ARTIFACTS: &[(&str, fn())] = &[
     ("osd", osd),
     ("faults", faults),
     ("configure", configure),
-    ("scale", scale),
     ("federation", federation),
 ];
 
@@ -432,29 +429,6 @@ fn configure() {
     println!();
     ubiqos_bench::dump_json("configure.json", &report);
     write_bench("BENCH_configure.json", &report);
-}
-
-fn scale() {
-    println!("================ Batched pipeline scaling ================");
-    let arrivals = std::env::var("UBIQOS_SCALE_ARRIVALS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
-    let report = ubiqos_bench::scale::run_scale_bench(arrivals, &[1, 4, 32, 256], &[1, 8]);
-    println!("{}", report.render());
-    // Byte-identity to the serial reference is part of the artifact, not
-    // a side note: batching may only ever change wall-clock.
-    assert!(
-        report.all_match_serial,
-        "a batched cell diverged from the serial digest {:#018x}",
-        report.serial_digest
-    );
-    if !report.scale_ok(2.0) {
-        eprintln!("warning: batched speedup below 2x at the widest thread count");
-    }
-    println!();
-    ubiqos_bench::dump_json("scale.json", &report);
-    write_bench("BENCH_scale.json", &report);
 }
 
 fn federation() {

@@ -53,7 +53,7 @@ pub struct CachePhase {
     /// Cache entries revalidated across a registry-epoch bump.
     pub revalidations: u64,
     /// Per-stage wall clock — the same [`StageTimes`] type
-    /// `BENCH_scale.json` uses, so stage accounting has exactly one
+    /// `BENCH_federation.json` uses, so stage accounting has exactly one
     /// schema across artifacts. (`pipeline_ms` is derived:
     /// [`StageTimes::pipeline_ms`].)
     pub stages: StageTimes,

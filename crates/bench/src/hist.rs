@@ -2,14 +2,13 @@
 //!
 //! Every `BENCH_*.json` artifact prints an aligned `|`-separated table
 //! plus a handful of histogram summaries; before this module each
-//! report hand-rolled its own `write!` column formatting ([`scale`],
-//! [`configure`], now [`federation`]). [`TextTable`] centralises the
+//! report hand-rolled its own `write!` column formatting
+//! ([`configure`], [`federation`]). [`TextTable`] centralises the
 //! alignment so new artifacts get identical table style for free, and
 //! the histogram helpers keep the quantile cells ([`p99_us`]) and the
 //! shard-attributed queue-wait summaries ([`shard_wait_summary`])
 //! consistent across reports.
 //!
-//! [`scale`]: crate::scale
 //! [`configure`]: crate::configure
 //! [`federation`]: crate::federation
 

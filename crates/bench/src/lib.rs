@@ -25,7 +25,6 @@ pub mod configure;
 pub mod federation;
 pub mod hist;
 pub mod osd;
-pub mod scale;
 
 use ubiqos_runtime::FaultCampaignConfig;
 use ubiqos_sim::{Fig5Config, Fig5Outcome, Table1Config, Table1Report, WorkloadConfig};

@@ -62,11 +62,10 @@ where
 /// [`par_map`] with an explicit worker count instead of the
 /// `UBIQOS_THREADS`-derived default.
 ///
-/// Callers that sweep thread counts inside one process (the pipeline
-/// runtime's scale driver, the batched ≡ serial equivalence proptests)
-/// use this to pin the fan-out width per call without mutating the
-/// process-global environment. Results are reassembled in input order,
-/// so the output is identical at every `workers` value.
+/// Callers that sweep thread counts inside one process use this to pin
+/// the fan-out width per call without mutating the process-global
+/// environment. Results are reassembled in input order, so the output
+/// is identical at every `workers` value.
 pub fn par_map_threads<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
 where
     T: Sync,

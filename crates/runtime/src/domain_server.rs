@@ -493,11 +493,10 @@ impl DomainServer {
         self.stages.lock().expect("stage lock").clone()
     }
 
-    /// Records one pipeline-runtime queue-wait sample (µs between an
-    /// event's batch admission and its deterministic commit) into the
-    /// stage profile, attributed to this server's shard slot — no single
-    /// global admission queue is assumed. Wall-clock only — never
-    /// observable in logs.
+    /// Records one queue-wait sample (µs a federation message spent
+    /// between send and delivery) into the stage profile, attributed to
+    /// this server's shard slot — no single global admission queue is
+    /// assumed. Profile only — never observable in logs.
     pub fn record_queue_wait_us(&self, us: u64) {
         self.stages
             .lock()
@@ -525,15 +524,6 @@ impl DomainServer {
     /// The shard index this server runs as (`0` when unsharded).
     pub fn shard_index(&self) -> usize {
         self.shard_index
-    }
-
-    /// Records one admitted batch's size into the stage profile.
-    pub fn record_batch_size(&self, events: usize) {
-        self.stages
-            .lock()
-            .expect("stage lock")
-            .batch_sizes
-            .record(events as u64);
     }
 
     /// Resets the wall-clock stage profile.
@@ -1482,7 +1472,6 @@ impl DomainServer {
                 domain,
                 step.factor,
                 warm,
-                true,
             ) {
                 Ok((configuration, overhead)) => return Ok((configuration, overhead, step.factor)),
                 Err(e) => last_err = Some(e),
@@ -1613,121 +1602,7 @@ impl DomainServer {
         client_device: DeviceId,
         domain: Option<DomainId>,
     ) -> Result<(Configuration, ConfigOverhead), ConfigureError> {
-        self.configure_scaled(
-            abstract_graph,
-            user_qos,
-            client_device,
-            domain,
-            1.0,
-            None,
-            true,
-        )
-    }
-
-    /// Runs the two-tier pipeline on behalf of the batched pipeline
-    /// runtime without mutating any *observable* state: nothing is
-    /// charged, downloaded, or logged, virtual time does not advance,
-    /// and — unlike [`DomainServer::preview`] — a stale-view outcome
-    /// does **not** bump the `stale_views` counter here (the adopting
-    /// [`DomainServer::admit_speculated`] call does, exactly once, iff
-    /// the speculation is actually adopted). Takes `&self`, so
-    /// independent speculations for distinct requests may run
-    /// concurrently on the worker pool.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ConfigureError`] from either tier.
-    pub fn speculate_configure(
-        &self,
-        abstract_graph: &AbstractServiceGraph,
-        user_qos: &QosVector,
-        client_device: DeviceId,
-        domain: Option<DomainId>,
-    ) -> Result<(Configuration, ConfigOverhead), ConfigureError> {
-        self.configure_scaled(
-            abstract_graph,
-            user_qos,
-            client_device,
-            domain,
-            1.0,
-            None,
-            false,
-        )
-    }
-
-    /// Adopts a previously [`DomainServer::speculate_configure`]d
-    /// outcome as a session start. The success path replays
-    /// [`DomainServer::start_session`]'s commit tail byte-for-byte
-    /// (download, initialization pricing, capacity charge, session
-    /// insertion, virtual-time advance, event publication); the failure
-    /// path re-raises the speculated error, counting a stale view
-    /// exactly as the serial admission path would have.
-    ///
-    /// Soundness requires the speculation to still be *fresh*: no
-    /// charge, refund, fault, reinstatement, lease expiry, or retry
-    /// admission may have occurred since it ran. The pipeline runtime
-    /// enforces this by invalidating its speculation table on every
-    /// mutating event, so `speculate_configure` + `admit_speculated`
-    /// back-to-back is exactly `start_session` decomposed.
-    ///
-    /// # Errors
-    ///
-    /// Re-raises the speculated [`ConfigureError`]; the session is not
-    /// created on failure.
-    ///
-    /// The name is taken as a thunk: adoption knows the admission
-    /// outcome before a session record exists, so denied arrivals —
-    /// the bulk of an overload campaign — never pay for building the
-    /// name string. (The serial path cannot make this move: it must
-    /// hand the name to the configurator before the outcome is known.)
-    pub fn admit_speculated(
-        &mut self,
-        name: impl FnOnce() -> String,
-        abstract_graph: AbstractServiceGraph,
-        user_qos: QosVector,
-        client_device: DeviceId,
-        speculated: Result<(Configuration, ConfigOverhead), ConfigureError>,
-    ) -> Result<SessionId, ConfigureError> {
-        let (configuration, mut overhead) = match speculated {
-            Ok(ok) => ok,
-            Err(e) => {
-                if matches!(e, ConfigureError::StaleView { .. }) {
-                    self.stale_views.fetch_add(1, Ordering::Relaxed);
-                }
-                return Err(e);
-            }
-        };
-        overhead.downloading_ms = self.download_for(&configuration);
-        overhead.init_or_handoff_ms = self
-            .costs
-            .initialization_ms(configuration.app.graph.component_count());
-        self.env
-            .charge_cut(&configuration.app.graph, &configuration.cut)
-            .expect("configured cut has consistent dimensions");
-
-        let id = SessionId(self.next_session);
-        self.next_session += 1;
-        self.sessions.insert(
-            id.0,
-            Session {
-                name: name(),
-                abstract_graph,
-                user_qos,
-                client_device,
-                domain: None,
-                configuration,
-                position_s: 0.0,
-                degrade_factor: 1.0,
-                overhead_log: vec![("start".into(), overhead)],
-            },
-        );
-        self.now_ms += overhead.total_ms();
-        self.events.publish(RuntimeEvent {
-            at_ms: self.now_ms,
-            session: Some(id.0),
-            trigger: ReconfigureTrigger::ApplicationStarted,
-        });
-        Ok(id)
+        self.configure_scaled(abstract_graph, user_qos, client_device, domain, 1.0, None)
     }
 
     /// [`DomainServer::configure`] with the degradation ladder's demand
@@ -1737,10 +1612,6 @@ impl DomainServer {
     /// charges — proportionally less). `warm` optionally carries the
     /// session's previous placement as a solver seed (used only under
     /// [`PlacementStrategy::Optimal`] with warm starts enabled).
-    /// `count_stale` controls whether a stale-view outcome increments
-    /// the observable `stale_views` counter — every path does except
-    /// speculation, which defers the count to adoption time.
-    #[allow(clippy::too_many_arguments)]
     fn configure_scaled(
         &self,
         abstract_graph: &AbstractServiceGraph,
@@ -1749,7 +1620,6 @@ impl DomainServer {
         domain: Option<DomainId>,
         demand_factor: f64,
         warm: Option<&[usize]>,
-        count_stale: bool,
     ) -> Result<(Configuration, ConfigOverhead), ConfigureError> {
         let wall = Instant::now();
         let discover_before = self.registry.discovery_stats().wall_nanos;
@@ -1793,9 +1663,7 @@ impl DomainServer {
             for inst in &configuration.app.instances {
                 if let Some(device) = configuration.cut.part_of(inst.component) {
                     if self.unreachable.contains(&device) {
-                        if count_stale {
-                            self.stale_views.fetch_add(1, Ordering::Relaxed);
-                        }
+                        self.stale_views.fetch_add(1, Ordering::Relaxed);
                         return Err(ConfigureError::StaleView { device });
                     }
                 }

@@ -69,16 +69,14 @@
 
 use crate::cost_model::LinkKind;
 use crate::domain_server::{DomainServer, PlacementStrategy, SessionId};
-use crate::pipeline::{PipelineConfig, PipelineStats, SpecTable};
 use crate::profiler::StageTimes;
 use crate::recovery::RecoveryReport;
 use crate::retry_queue::RetryPolicy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::fmt::Write as _;
-use std::time::Instant;
 use ubiqos::{ConfigureError, FaultReport};
 use ubiqos_composition::{diagnose, DegradationLadder};
 use ubiqos_discovery::{DeviceProperties, ServiceDescriptor};
@@ -87,7 +85,7 @@ use ubiqos_graph::{
     AbstractComponentSpec, AbstractServiceGraph, ComponentRole, DeviceId, PinHint, ServiceComponent,
 };
 use ubiqos_model::{QosDimension, QosValue, QosVector, ResourceVector};
-use ubiqos_sim::{EventQueue, FaultKind, FaultScheduleConfig, Request, TimedFault, WorkloadConfig};
+use ubiqos_sim::{EventQueue, FaultKind, FaultScheduleConfig, TimedFault, WorkloadConfig};
 
 /// Mix constant separating the fault-schedule RNG stream from the
 /// workload stream (both derive from the campaign seed).
@@ -125,11 +123,12 @@ pub struct FaultCampaignConfig {
     /// ladder, no parking: re-placement failure drops immediately) for
     /// side-by-side comparison at the same admission workload.
     pub staged_recovery: bool,
-    /// Whether the configuration caches (composition memo + discovery
-    /// memo) are active. The caches are specified to be invisible to
-    /// every observable output, so campaigns with and without them must
-    /// produce byte-identical logs and digests — which `repro --
-    /// configure` asserts by flipping this flag.
+    /// Whether the configuration caches (composition memo, discovery
+    /// memo and the campaign loop's denial memo) are active. The caches
+    /// are specified to be invisible to every observable output, so
+    /// campaigns with and without them must produce byte-identical logs
+    /// and digests — which `repro -- configure` and
+    /// `tests/pipeline_equivalence.rs` assert by flipping this flag.
     pub config_cache: bool,
     /// Failure-detection grace window in hours. `0.0` (the default) is
     /// **perfect detection**: crashes are observed instantly, no
@@ -153,12 +152,11 @@ pub struct FaultCampaignConfig {
     pub heartbeat_loss: f64,
     /// Run the full invariant sweep every N-th event (default `1`:
     /// after every event, the behavior every pinned digest was captured
-    /// under). Scale campaigns raise this — the sweep is O(live
+    /// under). Large campaigns raise this — the sweep is O(live
     /// sessions × cut parts) and would otherwise dominate 10⁵-arrival
-    /// runs — using the *same* stride for the serial and batched cells
-    /// so their reports stay comparable. Values < 1 are treated as 1;
-    /// skipped sweeps emit nothing, so the stride never perturbs logs
-    /// or digests, only `invariant_checks`.
+    /// runs. Values < 1 are treated as 1; skipped sweeps emit nothing,
+    /// so the stride never perturbs logs or digests, only
+    /// `invariant_checks`.
     pub invariant_stride: usize,
     /// Distribution-tier strategy every domain server in the campaign
     /// places with. The default ([`PlacementStrategy::Heuristic`]) is
@@ -349,13 +347,69 @@ pub struct CampaignOutcome {
     /// The deterministic event log.
     pub log: EventLog,
     /// Wall-clock stage profile captured from the domain server at the
-    /// end of the run (includes the pipeline runtime's queue-wait and
-    /// batch-size histograms, which stay empty on the serial path).
-    /// Never feeds logs or digests.
+    /// end of the run. Never feeds logs or digests.
     pub stages: StageTimes,
-    /// Overlap counters of the batched pipeline runtime; `None` for
-    /// serial runs.
+    /// Denial-memo counters; always `Some`. The `Option` is kept only for
+    /// the benchmark worker, which still reads it under its old name; a
+    /// benchmark change that moves the worker off it lets this field
+    /// become a plain [`PipelineStats`] (or go).
     pub pipeline: Option<PipelineStats>,
+}
+
+/// Former knobs of the batched pipeline runtime, which no longer exists:
+/// both fields are ignored. Kept only because the benchmark worker still
+/// names them; a benchmark change that moves the worker to
+/// [`run_fault_campaign_with`] lets this type be deleted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PipelineConfig {
+    /// Ignored.
+    pub batch_size: usize,
+    /// Ignored.
+    pub threads: usize,
+}
+
+/// Counters of the campaign loop's denial memo (see
+/// [`FaultCampaignConfig::config_cache`]). The type and field names are
+/// those of the deleted batched pipeline, kept because the benchmark
+/// worker reads them; a benchmark change that stops reading them lets
+/// them be renamed or deleted.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PipelineStats {
+    /// Denials stored in the memo.
+    pub primed: u64,
+    /// Arrivals that ran the configurator (memo misses).
+    pub inline_speculated: u64,
+    /// Arrivals answered by a memoized denial (memo hits).
+    pub adopted: u64,
+    /// Memo clears that dropped at least one entry.
+    pub invalidations: u64,
+}
+
+/// Reuses an arrival's denial for later arrivals of the same
+/// `(application template, client device)` until the next event that
+/// can change a configuration outcome: an admission, a departure, a
+/// fault, a reinstatement, a lease sweep that suspected something, or a
+/// retry-queue pass that moved a session. Between two such events the
+/// configurator is a pure function of the key, so a reused denial is
+/// exactly the error a fresh [`DomainServer::start_session`] would
+/// raise. [`ConfigureError::StaleView`] is never stored: it parks the
+/// arrival and bumps the server's `stale_views` counter, so each one
+/// must run the configurator.
+#[derive(Default)]
+struct DenialMemo {
+    denials: BTreeMap<(usize, usize), ConfigureError>,
+    stats: PipelineStats,
+}
+
+impl DenialMemo {
+    /// Drops every stored denial after an event that changed
+    /// configuration inputs.
+    fn clear(&mut self) {
+        if !self.denials.is_empty() {
+            self.stats.invalidations += 1;
+            self.denials.clear();
+        }
+    }
 }
 
 /// One event in the merged campaign timeline.
@@ -586,6 +640,26 @@ pub fn campaign_schedule(cfg: &FaultCampaignConfig) -> Vec<TimedFault> {
     .generate()
 }
 
+/// [`run_fault_campaign_with`]; `pipeline` is ignored. The batched
+/// pipeline this used to select is gone. Kept only because the benchmark
+/// worker still calls it; a benchmark change that moves the worker to
+/// [`run_fault_campaign_with`] lets it be deleted.
+///
+/// # Errors
+///
+/// Returns the first [`InvariantViolation`].
+///
+/// # Panics
+///
+/// See [`run_fault_campaign`].
+pub fn run_fault_campaign_batched_with(
+    cfg: &FaultCampaignConfig,
+    schedule: &[TimedFault],
+    _pipeline: &PipelineConfig,
+) -> Result<CampaignOutcome, InvariantViolation> {
+    run_fault_campaign_with(cfg, schedule)
+}
+
 /// Runs one campaign against an *explicit* fault schedule instead of the
 /// config-derived one — the replay hook [`crate::shrink`] uses to probe
 /// shrunken schedules. [`run_fault_campaign`] is exactly this with the
@@ -597,73 +671,6 @@ pub fn campaign_schedule(cfg: &FaultCampaignConfig) -> Vec<TimedFault> {
 pub fn run_fault_campaign_with(
     cfg: &FaultCampaignConfig,
     schedule: &[TimedFault],
-) -> Result<CampaignOutcome, InvariantViolation> {
-    run_fault_campaign_impl(cfg, schedule, None)
-}
-
-/// Pulls the next event to commit, refilling the admission batch from
-/// the DES queue when it runs dry.
-///
-/// Serial mode (`pipeline == None`) admits exactly one event per refill
-/// — the historical pop-one loop. Batched mode admits up to
-/// `batch_size` events bounded by the lease-check horizon (see
-/// [`crate::pipeline`] module docs for why that preserves the serial
-/// pop order), then primes the speculation table for the batch's
-/// arrivals on the worker pool before the first commit.
-#[allow(clippy::too_many_arguments)]
-fn next_event(
-    pending: &mut VecDeque<(f64, CampaignEvent)>,
-    queue: &mut EventQueue<CampaignEvent>,
-    pipeline: Option<&PipelineConfig>,
-    cfg: &FaultCampaignConfig,
-    trace: &[Request],
-    down: &BTreeSet<usize>,
-    spec: &mut SpecTable,
-    server: &DomainServer,
-    batch_wall: &mut Instant,
-) -> Option<(f64, CampaignEvent)> {
-    if pending.is_empty() {
-        let max = pipeline.map_or(1, |pl| pl.batch_size.max(1));
-        let imperfect = !cfg.perfect_detection();
-        let mut horizon = f64::INFINITY;
-        while pending.len() < max {
-            match queue.peek_time() {
-                Some(t) if t <= horizon => {
-                    let (at_h, ev) = queue.pop().expect("peeked event pops");
-                    if imperfect {
-                        if let CampaignEvent::Heartbeat(_) = ev {
-                            horizon = horizon.min(at_h + cfg.detection_grace_h);
-                        }
-                    }
-                    pending.push_back((at_h, ev));
-                }
-                _ => break,
-            }
-        }
-        if let Some(pl) = pipeline {
-            if !pending.is_empty() {
-                server.record_batch_size(pending.len());
-                spec.prime(server, pl, cfg, trace, down, pending.iter().map(|(_, e)| e));
-                *batch_wall = Instant::now();
-            }
-        }
-    }
-    let next = pending.pop_front();
-    if next.is_some() && pipeline.is_some() {
-        server.record_queue_wait_us(u64::try_from(batch_wall.elapsed().as_micros()).unwrap_or(0));
-    }
-    next
-}
-
-/// The shared campaign body behind [`run_fault_campaign_with`]
-/// (`pipeline == None`: commit events straight off the DES queue) and
-/// [`crate::pipeline::run_fault_campaign_batched`] (`Some`: admit in
-/// batches, speculate arrival pipelines on the worker pool, commit in
-/// the identical deterministic order).
-pub(crate) fn run_fault_campaign_impl(
-    cfg: &FaultCampaignConfig,
-    schedule: &[TimedFault],
-    pipeline: Option<&PipelineConfig>,
 ) -> Result<CampaignOutcome, InvariantViolation> {
     let mut server = build_space(cfg.devices);
     if !cfg.staged_recovery {
@@ -733,23 +740,11 @@ pub(crate) fn run_fault_campaign_impl(
     // Hour of the last anti-entropy sweep: consecutive lease checks at
     // one instant share a single sweep (see the LeaseCheck arm).
     let mut last_sweep_h: Option<f64> = None;
-    let mut spec = SpecTable::default();
-    let mut pending: VecDeque<(f64, CampaignEvent)> = VecDeque::new();
-    let mut batch_wall = Instant::now();
+    let mut memo = DenialMemo::default();
     // Reused across arrivals: the reachable-device scratch buffer.
     let mut up: Vec<usize> = Vec::with_capacity(cfg.devices);
 
-    while let Some((at_h, event)) = next_event(
-        &mut pending,
-        &mut queue,
-        pipeline,
-        cfg,
-        &trace,
-        &down,
-        &mut spec,
-        &server,
-        &mut batch_wall,
-    ) {
+    while let Some((at_h, event)) = queue.pop() {
         let delta_h = (at_h - last_h).max(0.0);
         server.play(delta_h * 3600.0);
         last_h = at_h;
@@ -764,35 +759,35 @@ pub(crate) fn run_fault_campaign_impl(
                 up.extend((0..cfg.devices).filter(|d| !down.contains(d)));
                 let client = up[(splitmix64(cfg.seed ^ i as u64) % up.len() as u64) as usize];
                 let (name, graph) = app_template(req.graph_index);
-                // Batched mode adopts a speculated pipeline outcome in
-                // this event's deterministic commit slot; with the
-                // table invalidated on every mutation, speculate +
-                // admit is exactly `start_session` decomposed, so both
-                // arms produce byte-identical logs and accounting.
-                let outcome = if pipeline.is_some() {
-                    let speculated =
-                        spec.take_or_speculate(&server, (req.graph_index, client), &graph);
-                    server.admit_speculated(
-                        || format!("{name}-{i}"),
-                        graph,
-                        QosVector::new(),
-                        DeviceId::from_index(client),
-                        speculated,
-                    )
+                // A denial memoized since the last mutation is exactly
+                // what `start_session` would raise again (see
+                // `DenialMemo`).
+                let key = (req.graph_index, client);
+                let outcome = if let Some(denial) = memo.denials.get(&key) {
+                    memo.stats.adopted += 1;
+                    Err(denial.clone())
                 } else {
-                    server.start_session(
+                    memo.stats.inline_speculated += 1;
+                    let outcome = server.start_session(
                         format!("{name}-{i}"),
                         graph,
                         QosVector::new(),
                         DeviceId::from_index(client),
-                    )
+                    );
+                    if let Err(e) = &outcome {
+                        if cfg.config_cache && !matches!(e, ConfigureError::StaleView { .. }) {
+                            memo.stats.primed += 1;
+                            memo.denials.insert(key, e.clone());
+                        }
+                    }
+                    outcome
                 };
                 // Hot path: these lines go straight into the log (one
                 // String, one formatting pass) instead of through the
                 // `lines` staging buffer.
                 match outcome {
                     Ok(id) => {
-                        spec.invalidate();
+                        memo.clear();
                         report.admitted += 1;
                         active.insert(i, id);
                         by_session.insert(id, i);
@@ -852,7 +847,7 @@ pub(crate) fn run_fault_campaign_impl(
                         let stopped = server.stop_session(id);
                         debug_assert!(stopped.is_some(), "active map tracks live sessions");
                         // The refund changed residual capacity.
-                        spec.invalidate();
+                        memo.clear();
                         report.completed += 1;
                         log.push_args(
                             idx,
@@ -870,7 +865,7 @@ pub(crate) fn run_fault_campaign_impl(
                 report.events += 1;
                 // Conservatively treat every fault as a mutation (even
                 // skipped ones — the check costs nothing).
-                spec.invalidate();
+                memo.clear();
                 let fault = &schedule[j];
                 lines.push(apply_fault(
                     &mut server,
@@ -891,7 +886,7 @@ pub(crate) fn run_fault_campaign_impl(
                         // A heartbeat from a *suspected* device: the
                         // suspicion was stale (heal or recovery) and is
                         // withdrawn.
-                        spec.invalidate();
+                        memo.clear();
                         report.reinstatements += 1;
                         count_pass(&rec, &mut report);
                         let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
@@ -939,7 +934,7 @@ pub(crate) fn run_fault_campaign_impl(
                     ));
                 }
                 if swept {
-                    spec.invalidate();
+                    memo.clear();
                 }
             }
         }
@@ -953,7 +948,7 @@ pub(crate) fn run_fault_campaign_impl(
         // time passing through arrivals/departures/switches).
         let retries = server.process_retries();
         if !retries.is_empty() {
-            spec.invalidate();
+            memo.clear();
             let tail = absorb_recovery(&retries, &mut active, &mut by_session, &mut report);
             log.push(idx, at_h, &format!("retry   parked queue -> {tail}"));
             idx += 1;
@@ -1063,7 +1058,7 @@ pub(crate) fn run_fault_campaign_impl(
         report,
         log,
         stages: server.stage_times(),
-        pipeline: pipeline.map(|_| spec.stats.clone()),
+        pipeline: Some(memo.stats),
     })
 }
 

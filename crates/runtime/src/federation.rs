@@ -2505,7 +2505,7 @@ impl<'a> Engine<'a> {
         // deferred behind a partition; zero for immediate delivery) to
         // the destination shard's queue-wait slot, so the federation
         // artifact reports per-shard message-queue distributions
-        // through the same [`StageTimes`] schema the pipeline uses.
+        // through the shared [`StageTimes`] schema.
         let wait_h = (env.deliver_at_h - env.sent_at_h).max(0.0);
         self.shards[env.to]
             .server

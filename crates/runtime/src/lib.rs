@@ -21,9 +21,10 @@
 //!   the paper's PC→PDA vs PDA→PC asymmetry);
 //! * [`streaming`] — delivered-QoS computation for a deployed
 //!   configuration;
-//! * [`pipeline`] — the batched admission runtime overlapping
-//!   independent sessions' discover→compose→place→download pipelines
-//!   while committing in the serial runtime's deterministic order;
+//! * [`faults`] — the seeded fault-injection campaign: one
+//!   discrete-event loop replaying faults against a live domain server
+//!   under the full invariant sweep, the serial reference every other
+//!   engine's digests are pinned against;
 //! * [`federation`] — the sharded multi-domain deployment: N domain
 //!   servers own subtrees of the domain hierarchy, resolve discovery
 //!   across shards, and hand sessions off with a two-phase
@@ -56,7 +57,6 @@ pub mod event_service;
 pub mod faults;
 pub mod federation;
 pub mod overhead;
-pub mod pipeline;
 pub mod profiler;
 pub mod recovery;
 pub mod repository;
@@ -73,8 +73,9 @@ pub use domain_server::{DomainServer, PlacementStrategy, PlacementTotals, Sessio
 pub use durability::DurabilityConfig;
 pub use event_service::{EventService, RuntimeEvent};
 pub use faults::{
-    campaign_schedule, run_fault_campaign, run_fault_campaign_with, CampaignOutcome, EventLog,
-    FaultCampaignConfig, InvariantViolation,
+    campaign_schedule, run_fault_campaign, run_fault_campaign_batched_with,
+    run_fault_campaign_with, CampaignOutcome, EventLog, FaultCampaignConfig, InvariantViolation,
+    PipelineConfig, PipelineStats,
 };
 pub use federation::{
     run_federation_campaign, run_federation_campaign_lossy, run_federation_campaign_over,
@@ -82,9 +83,6 @@ pub use federation::{
     FederationStats, ShardOutcome, ShardPartition,
 };
 pub use overhead::ConfigOverhead;
-pub use pipeline::{
-    run_fault_campaign_batched, run_fault_campaign_batched_with, PipelineConfig, PipelineStats,
-};
 pub use profiler::{PowHistogram, Profiler, StageTimes};
 pub use recovery::{Degradation, RecoveryMode, RecoveryReport};
 pub use repository::ComponentRepository;

@@ -64,8 +64,8 @@ impl Profiler {
 /// Bucket `0` counts exact zeros; bucket `i ≥ 1` counts samples in
 /// `[2^(i-1), 2^i)`. The bucket vector grows lazily to the largest
 /// sample seen, so an empty histogram serializes as `[]` and artifacts
-/// stay compact. Used for the pipeline runtime's queue-wait (µs) and
-/// batch-size distributions in `BENCH_scale.json`.
+/// stay compact. Used for the federation's per-shard message queue-wait
+/// (µs) and retransmission distributions in [`StageTimes`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PowHistogram {
     /// `counts[i]` = samples in bucket `i` (see type docs).
@@ -134,9 +134,9 @@ impl PowHistogram {
 /// the simulated clock, so profiling cannot perturb reproducibility.
 ///
 /// The same struct is the shared stage-accounting type of
-/// `BENCH_scale.json`: the pipeline runtime folds its queue-wait and
-/// batch-size distributions into the two histograms (both stay empty
-/// under the serial runtime).
+/// `BENCH_federation.json`: a federation folds its per-shard message
+/// queue waits and retransmission counts into the histograms, which
+/// stay empty for a single-server campaign.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageTimes {
     /// Time inside `ServiceRegistry::discover_all` (memo hits included).
@@ -150,17 +150,12 @@ pub struct StageTimes {
     pub download_ms: f64,
     /// `configure` invocations measured.
     pub configures: u64,
-    /// Wall-clock µs each event spent between batch admission (pop from
-    /// the DES queue) and its deterministic commit — the pipeline
-    /// runtime's queue-wait distribution. Empty under the serial loop.
+    /// Virtual µs each federation message spent between send and
+    /// delivery, over every shard. Empty for a single-server campaign.
     pub queue_wait_us: PowHistogram,
-    /// Events per admitted batch. Empty under the serial loop.
-    pub batch_sizes: PowHistogram,
     /// Queue waits split by the admission queue (shard) that absorbed
     /// them. Slot `s` is shard `s`'s own wait distribution; the merged
-    /// view above remains the union. A single-server runtime records
-    /// everything into slot 0, so unsharded artifacts stay unchanged
-    /// apart from the extra field.
+    /// view above remains the union.
     pub shard_queue_wait_us: Vec<PowHistogram>,
     /// Per-payload retransmission counts of the federation's reliable
     /// transport sublayer, split by sending shard: when a payload is
@@ -187,7 +182,7 @@ impl StageTimes {
     }
 
     /// `discover + compose + place` — the pipeline span a composition
-    /// cache (or batched speculation) can shorten; downloads excluded.
+    /// cache can shorten; downloads excluded.
     pub fn pipeline_ms(&self) -> f64 {
         self.discover_ms + self.compose_ms + self.place_ms
     }
@@ -216,7 +211,6 @@ impl StageTimes {
         self.download_ms += other.download_ms;
         self.configures += other.configures;
         self.queue_wait_us.merge(&other.queue_wait_us);
-        self.batch_sizes.merge(&other.batch_sizes);
         if other.shard_queue_wait_us.is_empty() {
             // A single-queue profile: every wait it saw belongs to the
             // shard it ran as.

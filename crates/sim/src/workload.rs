@@ -60,7 +60,8 @@ impl WorkloadConfig {
     /// selection keep the Figure 5 shape, over the fault harness's two
     /// templates). With arrivals vastly outnumbering what the space can
     /// carry, the admission path — not the schedule — is the
-    /// bottleneck, which is what `repro -- scale` measures.
+    /// bottleneck, which is what the benchmark's `overload` workload
+    /// measures.
     pub fn overload(requests: usize, horizon_h: f64) -> Self {
         WorkloadConfig {
             requests,

@@ -10,7 +10,9 @@
 
 use proptest::prelude::*;
 use std::sync::Mutex;
-use ubiqos_runtime::{run_fault_campaign, FaultCampaignConfig};
+use ubiqos_runtime::{
+    campaign_schedule, run_fault_campaign, run_fault_campaign_with, FaultCampaignConfig,
+};
 
 /// Serialises the tests that mutate the process-global `UBIQOS_THREADS`
 /// variable; every other assertion in this file is thread-count
@@ -87,6 +89,48 @@ fn default_campaign_digest_is_pinned_across_thread_settings() {
         std::env::var("UBIQOS_THREADS").ok()
     );
     assert_eq!(outcome.report.log_digest, outcome.log.digest());
+}
+
+/// The overload campaign (the benchmark's `overload` shape: six devices,
+/// arrivals packed into two hours, no faults, invariant stride 64) at
+/// 5 000 arrivals. Its digest is pinned with the configuration caches on
+/// and off, and with the caches on four in five arrivals must be
+/// answered by the denial memo (4 008 are: the 186 admissions and
+/// departures clear it 128 times, and each clear costs up to one miss
+/// per template and client) — losing denial reuse fails here, not only
+/// as a slower benchmark.
+#[test]
+fn overload_campaign_digest_is_pinned_and_reuses_denials() {
+    for config_cache in [true, false] {
+        let cfg = FaultCampaignConfig {
+            devices: 6,
+            requests: 5_000,
+            horizon_h: 2.0,
+            faults: 0,
+            invariant_stride: 64,
+            config_cache,
+            ..FaultCampaignConfig::default()
+        };
+        let outcome = run_fault_campaign_with(&cfg, &campaign_schedule(&cfg))
+            .expect("campaign holds its invariants");
+        assert_eq!(
+            outcome.report.log_digest, 0x1b12_a3e4_6b60_bc4b,
+            "overload trace changed (config_cache={config_cache})"
+        );
+        let arrivals = u64::from(outcome.report.arrivals);
+        assert_eq!(arrivals, 5_000);
+        let memo = outcome.pipeline.expect("campaigns carry memo stats");
+        assert_eq!(memo.adopted + memo.inline_speculated, arrivals, "{memo:?}");
+        if config_cache {
+            assert!(
+                memo.adopted * 5 >= arrivals * 4,
+                "denial memo answered only {} of {arrivals} arrivals: {memo:?}",
+                memo.adopted
+            );
+        } else {
+            assert_eq!(memo.adopted, 0, "the memo is off without the cache");
+        }
+    }
 }
 
 /// Serial vs 8-thread runs of a recovery-heavy campaign produce

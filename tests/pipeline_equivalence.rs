@@ -1,70 +1,64 @@
-//! Workspace-level equivalence suite for the batched pipeline runtime
-//! (`ubiqos_runtime::pipeline`).
+//! Workspace-level equivalence suite for the campaign loop's caches.
 //!
-//! The batched runtime's whole contract is *byte identity*: at every
-//! `(batch size, thread count)` setting, the event log, its digest, and
-//! every report counter must match the serial DES reference exactly —
-//! speculation and batching may only ever change wall-clock time. This
-//! file pins that contract across random fault schedules (detector
-//! suspicion, partitions, and lossy heartbeats included) and pins the
-//! absolute baseline digests so neither the batched loop nor the
-//! hot-path optimizations it motivated (the once-per-instant lease
-//! sweep, the event-log formatting fast path) can drift the serial
-//! runtime either.
+//! `FaultCampaignConfig::config_cache` switches on the composition memo,
+//! the discovery memo and the loop's denial memo (a denial reused for
+//! later arrivals of the same template and client until the next
+//! mutating event). Their whole contract is *byte identity*: the event
+//! log, its digest and every report counter must match the uncached run
+//! exactly — the caches may only ever change wall-clock time. This file
+//! checks that contract across random fault schedules (detector
+//! suspicion, partitions and lossy heartbeats included) and pins the
+//! absolute baseline digests under both flag values, so neither the
+//! caches nor the hot-path optimizations of the loop (the once-per-instant
+//! lease sweep, the event-log formatting fast path) can drift the runtime.
 
 use proptest::prelude::*;
-use ubiqos_runtime::{
-    run_fault_campaign, run_fault_campaign_batched, FaultCampaignConfig, PipelineConfig,
-};
+use ubiqos_runtime::{run_fault_campaign, CampaignOutcome, FaultCampaignConfig};
 
-/// The batch-size ladder every equivalence assertion sweeps: serial
-/// degenerate (1), small, the default (cache-warm), and overload scale.
-const BATCH_SIZES: [usize; 4] = [1, 4, 32, 256];
+/// Runs `cfg` with the configuration caches forced to `config_cache`.
+fn run(cfg: &FaultCampaignConfig, config_cache: bool, label: &str) -> CampaignOutcome {
+    let cfg = FaultCampaignConfig {
+        config_cache,
+        ..cfg.clone()
+    };
+    run_fault_campaign(&cfg)
+        .unwrap_or_else(|v| panic!("{label} cache={config_cache}: invariant violated: {v}"))
+}
 
-/// Worker counts for the speculative stage; `8` exceeds this CI class's
-/// cores, so the sweep also proves worker count is wall-clock-only.
-const THREADS: [usize; 2] = [1, 8];
-
-fn assert_batched_matches_serial(cfg: &FaultCampaignConfig, label: &str) {
-    let serial = run_fault_campaign(cfg)
-        .unwrap_or_else(|v| panic!("{label}: serial invariant violated: {v}"));
-    for threads in THREADS {
-        for batch_size in BATCH_SIZES {
-            let batched = run_fault_campaign_batched(
-                cfg,
-                &PipelineConfig {
-                    batch_size,
-                    threads,
-                },
-            )
-            .unwrap_or_else(|v| {
-                panic!("{label} b{batch_size} t{threads}: batched invariant violated: {v}")
-            });
-            assert_eq!(
-                serial.log.render(),
-                batched.log.render(),
-                "{label} b{batch_size} t{threads}: event logs diverged"
-            );
-            assert_eq!(
-                serial.report, batched.report,
-                "{label} b{batch_size} t{threads}: reports diverged"
-            );
-            let stats = batched.pipeline.expect("batched runs carry stats");
-            assert_eq!(
-                stats.adopted + stats.inline_speculated,
-                u64::from(batched.report.arrivals),
-                "{label} b{batch_size} t{threads}: arrival accounting leaked"
-            );
-        }
-    }
+fn assert_cache_is_invisible(cfg: &FaultCampaignConfig, label: &str) {
+    let cached = run(cfg, true, label);
+    let uncached = run(cfg, false, label);
+    assert_eq!(
+        cached.log.render(),
+        uncached.log.render(),
+        "{label}: event logs diverged"
+    );
+    assert_eq!(cached.report, uncached.report, "{label}: reports diverged");
+    assert_eq!(
+        cached.report.log_digest,
+        cached.log.digest(),
+        "{label}: reported digest is not the log's"
+    );
+    let stats = cached.pipeline.expect("campaigns carry memo stats");
+    assert_eq!(
+        stats.adopted + stats.inline_speculated,
+        u64::from(cached.report.arrivals),
+        "{label}: arrival accounting leaked"
+    );
+    let off = uncached.pipeline.expect("campaigns carry memo stats");
+    assert_eq!(
+        off.adopted, 0,
+        "{label}: the memo must be off without the cache"
+    );
+    assert_eq!(off.inline_speculated, u64::from(uncached.report.arrivals));
 }
 
 /// The absolute anchors: baseline digests captured when each campaign
-/// mode was introduced. The serial loop, the hoisted lease sweep, the
-/// formatting fast path, and every batched cell must all keep
-/// reproducing them byte-for-byte.
+/// mode was introduced. The loop, the hoisted lease sweep, the
+/// formatting fast path and the denial memo must all keep reproducing
+/// them byte-for-byte, with the caches on and off.
 #[test]
-fn baseline_digests_are_pinned_serial_and_batched() {
+fn baseline_digests_are_pinned_with_and_without_config_cache() {
     // Perfect detection (the digest tests/fault_injection.rs pins).
     let perfect = FaultCampaignConfig::default();
     // Imperfect detection with every detector feature active (the
@@ -83,23 +77,16 @@ fn baseline_digests_are_pinned_serial_and_batched() {
         (&perfect, 0x2385_725a_4716_6d1b_u64, "perfect"),
         (&imperfect, 0x01d0_6fd1_1ed1_9085_u64, "imperfect"),
     ] {
-        let serial = run_fault_campaign(cfg).expect("serial holds");
-        assert_eq!(
-            serial.report.log_digest, pinned,
-            "{label}: serial baseline digest drifted"
-        );
-        for batch_size in BATCH_SIZES {
-            let batched = run_fault_campaign_batched(
-                cfg,
-                &PipelineConfig {
-                    batch_size,
-                    threads: 8,
-                },
-            )
-            .expect("batched holds");
+        for config_cache in [true, false] {
+            let report = run(cfg, config_cache, label).report;
             assert_eq!(
-                batched.report.log_digest, pinned,
-                "{label} b{batch_size}: batched digest drifted from the pinned baseline"
+                report.log_digest, pinned,
+                "{label} cache={config_cache}: baseline digest drifted"
+            );
+            assert_eq!(
+                report.suspicions > 0,
+                label == "imperfect",
+                "{label}: the detector fires exactly in imperfect mode"
             );
         }
     }
@@ -109,9 +96,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Random perfect-detection schedules: crashes, correlated scopes,
-    /// flapping links, fluctuations — batched ≡ serial at every cell.
+    /// flapping links, fluctuations — cached ≡ uncached.
     #[test]
-    fn batched_matches_serial_across_random_fault_schedules(
+    fn denial_memo_matches_uncached_across_random_fault_schedules(
         seed in 0u64..u64::MAX,
         scope in 1usize..3,
         flapping in 0usize..2,
@@ -126,16 +113,15 @@ proptest! {
             flapping_links: flapping,
             ..FaultCampaignConfig::default()
         };
-        assert_batched_matches_serial(&cfg, "perfect");
+        assert_cache_is_invisible(&cfg, "perfect");
     }
 
     /// Random imperfect-detection schedules: suspicion, false suspicion,
-    /// reinstatement, and stale views landing mid-batch must all commit
-    /// in the serial order. Lease checks land between arrivals, so
-    /// batches are clipped at suspicion horizons (the batch horizon
-    /// rule) and the speculation table is invalidated mid-run.
+    /// reinstatement and stale views must leave no memoized denial
+    /// behind that the uncached run would not also raise, and stale
+    /// views must be counted once per arrival either way.
     #[test]
-    fn batched_matches_serial_under_detector_suspicion(
+    fn denial_memo_matches_uncached_under_detector_suspicion(
         seed in 0u64..u64::MAX,
         loss in 0.0f64..0.6,
     ) {
@@ -153,6 +139,6 @@ proptest! {
             heartbeat_loss: loss,
             ..FaultCampaignConfig::default()
         };
-        assert_batched_matches_serial(&cfg, "imperfect");
+        assert_cache_is_invisible(&cfg, "imperfect");
     }
 }
