@@ -7,10 +7,11 @@
 //! Every state mutation a shard performs while handling federated
 //! events is journaled as a typed [`WalRecord`] *before* (or, for
 //! outcome-dependent bookkeeping, within the same atomic event as) the
-//! mutation itself: clock advances, transcript lines, session-table
-//! track/untrack edits, every [`DomainServer`] call (admissions, parks,
-//! refunds via `stop_session`, lease renewals, lease expiries, retry
-//! drains, moves/switches), and every injected device fault. Periodic
+//! mutation itself: clock advances, session-table track/untrack edits,
+//! every [`DomainServer`] call (admissions, parks, refunds via
+//! `stop_session`, lease renewals, lease expiries, retry drains,
+//! moves/switches), and every injected device fault. Transcript lines
+//! ride in the event-boundary [`WalRecord::Mark`]. Periodic
 //! checkpoints capture a full [`ShardSnapshot`] and truncate the log
 //! tail, bounding both replay work and journal memory.
 //!
@@ -31,11 +32,13 @@
 //! session ids were reservation custody at absorb time) carries the
 //! raw session ids actually untracked, so replay applies the same map
 //! edits without consulting crash-time engine state. Aggregate
-//! counters, the iteration count, and the sweep cursor are coalesced
-//! into [`WalRecord::Mark`] records emitted at event boundaries (the
-//! crash instant is itself a boundary); everything the counters
-//! summarize is already individually journaled by the typed records
-//! around them.
+//! counters, the iteration count, the sweep cursor, and the transcript
+//! lines appended since the previous mark are coalesced into
+//! [`WalRecord::Mark`] records emitted at event boundaries (the crash
+//! instant is itself a boundary). Everything the counters summarize is
+//! already individually journaled by the typed records around them, and
+//! lines never leave the shard, so nothing outside it can observe a line
+//! before its mark.
 //!
 //! Volatile profiling state (wall-clock stage times, solver-portfolio
 //! telemetry, composition-cache contents) is checkpointed by value but
@@ -45,8 +48,7 @@
 //! cache semantically invisible.
 
 use crate::domain_server::SessionId;
-use crate::faults::apply_fault;
-use crate::federation::Shard;
+use crate::faults::Shard;
 use serde::{Deserialize, Serialize};
 use ubiqos::fault_report::fnv1a;
 use ubiqos::{ConfigureError, FaultReport};
@@ -123,9 +125,6 @@ pub(crate) enum ServerCall {
 pub(crate) enum WalRecord {
     /// Monotone clock advance to `at_h` (the serial `play` step).
     Advance { at_h: f64 },
-    /// One transcript line appended at `at_h` (the line index is
-    /// implicit: replay numbers lines in record order).
-    Line { at_h: f64, line: String },
     /// Request `req` tracked as live session `sid` in the shard's
     /// `active`/`by_session` tables.
     Track { req: usize, sid: u64 },
@@ -134,17 +133,20 @@ pub(crate) enum WalRecord {
     /// A journaled domain-server call.
     Call(ServerCall),
     /// A shard-local device fault, replayed through the shared
-    /// [`apply_fault`] arm (which re-absorbs its recovery internally).
+    /// [`Shard::apply_fault`] arm (which re-absorbs its recovery
+    /// internally).
     Fault(TimedFault),
     /// Event-boundary coalescence of aggregate state: the full
-    /// counter report, the per-shard iteration count, and the sweep
-    /// cursor. Emitted at every event epilogue and at the crash
-    /// instant itself, so replay lands exactly on the pre-crash
-    /// values.
+    /// counter report, the per-shard iteration count, the sweep
+    /// cursor, and the rendered log lines appended since the previous
+    /// mark (replay appends them verbatim). Emitted at every event
+    /// epilogue and at the crash instant itself, so replay lands
+    /// exactly on the pre-crash values.
     Mark {
         report: Box<FaultReport>,
         iterations: u64,
         last_sweep_h: Option<f64>,
+        lines: Vec<String>,
     },
 }
 
@@ -170,7 +172,6 @@ impl ShardSnapshot {
                 active: shard.active.clone(),
                 by_session: shard.by_session.clone(),
                 last_h: shard.last_h,
-                idx: shard.idx,
                 iterations: shard.iterations,
                 last_sweep_h: shard.last_sweep_h,
             },
@@ -190,6 +191,9 @@ pub(crate) struct ShardWal {
     checkpoint_every: usize,
     snapshot: Option<ShardSnapshot>,
     pub(crate) tail: Vec<WalRecord>,
+    /// Log lines of the shard already durable (in the snapshot or a
+    /// `Mark`); the next mark carries the rest.
+    logged: usize,
     /// Records appended over the shard's lifetime (across checkpoint
     /// truncations).
     pub(crate) appended: u64,
@@ -208,6 +212,7 @@ impl ShardWal {
             checkpoint_every: cfg.checkpoint_every.max(1),
             snapshot: cfg.enabled.then(|| ShardSnapshot::capture(shard)),
             tail: Vec::new(),
+            logged: shard.log.lines().len(),
             appended: 0,
             replayed: 0,
             restores: 0,
@@ -222,6 +227,23 @@ impl ShardWal {
         }
     }
 
+    /// Journals an event-boundary [`WalRecord::Mark`] for `shard`: its
+    /// counter report, epilogue cursors, and the log lines appended
+    /// since the previous mark (no-op when durability is disabled).
+    pub(crate) fn mark(&mut self, shard: &Shard) {
+        if !self.enabled {
+            return;
+        }
+        let lines = shard.log.lines()[self.logged..].to_vec();
+        self.logged = shard.log.lines().len();
+        self.push(WalRecord::Mark {
+            report: Box::new(shard.report.clone()),
+            iterations: shard.iterations,
+            last_sweep_h: shard.last_sweep_h,
+            lines,
+        });
+    }
+
     /// Whether the tail has reached the checkpoint cadence.
     pub(crate) fn due_checkpoint(&self) -> bool {
         self.enabled && self.tail.len() >= self.checkpoint_every
@@ -232,6 +254,7 @@ impl ShardWal {
         if self.enabled {
             self.snapshot = Some(ShardSnapshot::capture(shard));
             self.tail.clear();
+            self.logged = shard.log.lines().len();
         }
     }
 
@@ -280,11 +303,6 @@ fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64) {
             shard.server.play(delta_h * 3600.0);
             shard.last_h = *at_h;
         }
-        WalRecord::Line { at_h, line } => {
-            let idx = shard.idx;
-            shard.log.push(idx, *at_h, line);
-            shard.idx += 1;
-        }
         WalRecord::Track { req, sid } => {
             let sid = SessionId::from_raw(*sid);
             shard.active.insert(*req, sid);
@@ -301,25 +319,18 @@ fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64) {
             // inside it. Counters are overwritten by the next `Mark`
             // anyway; the ground truth (`down`, `det`) and the server
             // mutations are what matter here.
-            let _line = apply_fault(
-                &mut shard.server,
-                fault,
-                &shard.cfg,
-                &mut shard.down,
-                &mut shard.det,
-                &mut shard.active,
-                &mut shard.by_session,
-                &mut shard.report,
-            );
+            let _line = shard.apply_fault(fault);
         }
         WalRecord::Mark {
             report,
             iterations,
             last_sweep_h,
+            lines,
         } => {
             shard.report = report.as_ref().clone();
             shard.iterations = *iterations;
             shard.last_sweep_h = *last_sweep_h;
+            shard.log.extend_rendered(lines);
         }
     }
 }
@@ -415,7 +426,7 @@ pub(crate) fn shard_fingerprint(shard: &Shard) -> u64 {
     use std::fmt::Write as _;
     let _ = write!(
         s,
-        "log={:016x}/{}|report={:?}|down={:?}|det={:?}|active={:?}|by={:?}|last_h={:016x}|idx={}|it={}|sweep={:?}|server={:016x}",
+        "log={:016x}/{}|report={:?}|down={:?}|det={:?}|active={:?}|by={:?}|last_h={:016x}|it={}|sweep={:?}|server={:016x}",
         shard.log.digest(),
         shard.log.lines().len(),
         shard.report,
@@ -424,7 +435,6 @@ pub(crate) fn shard_fingerprint(shard: &Shard) -> u64 {
         shard.active,
         shard.by_session,
         shard.last_h.to_bits(),
-        shard.idx,
         shard.iterations,
         shard.last_sweep_h.map(f64::to_bits),
         shard.server.state_fingerprint(),
@@ -465,7 +475,6 @@ pub(crate) fn assert_recovered_equal(live: &Shard, rebuilt: &Shard, s: usize) {
         live.last_h.to_bits(),
         "shard{s} recovery drifted the virtual clock"
     );
-    assert_eq!(rebuilt.idx, live.idx, "shard{s} recovery miscounted lines");
     assert_eq!(
         (rebuilt.iterations, rebuilt.last_sweep_h.map(f64::to_bits)),
         (live.iterations, live.last_sweep_h.map(f64::to_bits)),
@@ -482,29 +491,13 @@ pub(crate) fn assert_recovered_equal(live: &Shard, rebuilt: &Shard, s: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{build_space, DetectorState, FaultCampaignConfig};
-    use crate::EventLog;
-    use std::collections::{BTreeMap, BTreeSet};
+    use crate::faults::FaultCampaignConfig;
 
     fn tiny_shard() -> Shard {
-        let cfg = FaultCampaignConfig {
+        Shard::new(FaultCampaignConfig {
             devices: 3,
             ..FaultCampaignConfig::default()
-        };
-        Shard {
-            server: build_space(3),
-            cfg,
-            log: EventLog::default(),
-            report: FaultReport::default(),
-            down: BTreeSet::new(),
-            det: DetectorState::new(3),
-            active: BTreeMap::new(),
-            by_session: BTreeMap::new(),
-            last_h: 0.0,
-            idx: 0,
-            iterations: 0,
-            last_sweep_h: None,
-        }
+        })
     }
 
     fn start_call(i: usize) -> WalRecord {
@@ -522,8 +515,7 @@ mod tests {
         let mut shard = tiny_shard();
         shard.server.play(10.0);
         shard.last_h = 10.0 / 3600.0;
-        shard.log.push(0, 0.0, "arrive  req0 -> admitted");
-        shard.idx = 1;
+        shard.log.push(0.0, "arrive  req0 -> admitted");
         let snap = ShardSnapshot::capture(&shard);
         let rebuilt = snap.restore();
         assert_recovered_equal(&shard, &rebuilt, 0);
@@ -549,23 +541,15 @@ mod tests {
         let mut shard = tiny_shard();
         let mut wal = ShardWal::new(&DurabilityConfig::default(), &shard);
 
-        // Live side: advance, admit, log, track — journaling each
-        // mutation exactly as the engine does.
+        // Live side: advance, admit, track, log — journaling each
+        // mutation exactly as the engine does (lines ride in the mark).
         let recs = vec![
             WalRecord::Advance { at_h: 0.25 },
             start_call(0),
-            WalRecord::Line {
-                at_h: 0.25,
-                line: "arrive  req0 -> admitted as s0".to_owned(),
-            },
             WalRecord::Track { req: 0, sid: 0 },
             WalRecord::Advance { at_h: 0.5 },
             WalRecord::Call(ServerCall::Stop { sid: 0 }),
             WalRecord::Untrack { req: 0, sid: 0 },
-            WalRecord::Line {
-                at_h: 0.5,
-                line: "depart  req0 -> completed".to_owned(),
-            },
             WalRecord::Mark {
                 report: Box::new(FaultReport {
                     events: 2,
@@ -576,6 +560,10 @@ mod tests {
                 }),
                 iterations: 2,
                 last_sweep_h: None,
+                lines: vec![
+                    "[0000] t=00000.2500h arrive  req0 -> admitted as s0".to_owned(),
+                    "[0001] t=00000.5000h depart  req0 -> completed".to_owned(),
+                ],
             },
         ];
         for rec in recs {
@@ -584,7 +572,7 @@ mod tests {
         }
         let rebuilt = wal.recover(180_000.0);
         assert_recovered_equal(&shard, &rebuilt, 0);
-        assert_eq!(wal.replayed, 9);
+        assert_eq!(wal.replayed, 7);
         assert_eq!(wal.restores, 1);
     }
 

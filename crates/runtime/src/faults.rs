@@ -85,7 +85,7 @@ use ubiqos_graph::{
     AbstractComponentSpec, AbstractServiceGraph, ComponentRole, DeviceId, PinHint, ServiceComponent,
 };
 use ubiqos_model::{QosDimension, QosValue, QosVector, ResourceVector};
-use ubiqos_sim::{EventQueue, FaultKind, FaultScheduleConfig, TimedFault, WorkloadConfig};
+use ubiqos_sim::{EventQueue, FaultKind, FaultScheduleConfig, Request, TimedFault, WorkloadConfig};
 
 /// Mix constant separating the fault-schedule RNG stream from the
 /// workload stream (both derive from the campaign seed).
@@ -210,8 +210,9 @@ pub struct EventLog {
 }
 
 impl EventLog {
-    pub(crate) fn push(&mut self, idx: usize, at_h: f64, text: &str) {
-        self.push_args(idx, at_h, format_args!("{text}"));
+    /// Appends one line; its index is the number of lines before it.
+    pub(crate) fn push(&mut self, at_h: f64, text: &str) {
+        self.push_args(at_h, format_args!("{text}"));
     }
 
     /// Formats one line straight into its final String — prefix and text
@@ -219,10 +220,10 @@ impl EventLog {
     /// loop's hot path: at 10⁵ arrivals the naive
     /// `format!("[{idx:04}] t={at_h:010.4}h {text}")` over a separately
     /// formatted `text` costs more than the admission work it records.
-    pub(crate) fn push_args(&mut self, idx: usize, at_h: f64, args: fmt::Arguments<'_>) {
+    pub(crate) fn push_args(&mut self, at_h: f64, args: fmt::Arguments<'_>) {
         let mut line = String::with_capacity(128);
         line.push('[');
-        push_padded_int(&mut line, idx as u64, 4);
+        push_padded_int(&mut line, self.lines.len() as u64, 4);
         line.push_str("] t=");
         push_hours(&mut line, at_h);
         line.push_str("h ");
@@ -233,6 +234,12 @@ impl EventLog {
             let _ = line.write_fmt(args);
         }
         self.lines.push(line);
+    }
+
+    /// Appends lines rendered by [`EventLog::push_args`] verbatim (the
+    /// write-ahead log's replay path).
+    pub(crate) fn extend_rendered(&mut self, lines: &[String]) {
+        self.lines.extend_from_slice(lines);
     }
 
     /// The log lines, in event order.
@@ -426,9 +433,9 @@ pub(crate) enum CampaignEvent {
     Heartbeat(usize),
     /// The anti-entropy sweep scheduled `grace` after a lease renewal:
     /// any lease now expired turns into a suspicion (imperfect only).
-    /// Carries the renewing device for the transcript; the sweep itself
-    /// is global.
-    LeaseCheck(#[allow(dead_code)] usize),
+    /// Carries the renewing device, which a federation routes to its
+    /// domain; the sweep itself covers the whole domain.
+    LeaseCheck(usize),
 }
 
 /// Ground-truth bookkeeping the imperfect detector is *not* allowed to
@@ -581,13 +588,22 @@ pub fn app_template(graph_index: usize) -> (&'static str, AbstractServiceGraph) 
         let s = g.add_spec(AbstractComponentSpec::new("wav-source"));
         let p = g.add_spec(AbstractComponentSpec::new("wav-sink").with_pin(PinHint::ClientDevice));
         g.add_edge(s, p, 1.2).expect("template edge");
-        ("wav-audio", g)
     } else {
         let s = g.add_spec(AbstractComponentSpec::new("mpeg-source"));
         let p =
             g.add_spec(AbstractComponentSpec::new("pcm-player").with_pin(PinHint::ClientDevice));
         g.add_edge(s, p, 2.5).expect("template edge");
-        ("mpeg-audio", g)
+    }
+    (app_name(graph_index), g)
+}
+
+/// The name of [`app_template`]`(graph_index)`, without building its
+/// graph.
+fn app_name(graph_index: usize) -> &'static str {
+    if graph_index.is_multiple_of(2) {
+        "wav-audio"
+    } else {
+        "mpeg-audio"
     }
 }
 
@@ -665,6 +681,9 @@ pub fn run_fault_campaign_batched_with(
 /// shrunken schedules. [`run_fault_campaign`] is exactly this with the
 /// seeded schedule.
 ///
+/// The loop is one [`Shard`] driven off the shared [`Timeline`] queue,
+/// plus the denial memo (serial-only; see [`DenialMemo`]).
+///
 /// # Panics
 ///
 /// See [`run_fault_campaign`].
@@ -672,108 +691,32 @@ pub fn run_fault_campaign_with(
     cfg: &FaultCampaignConfig,
     schedule: &[TimedFault],
 ) -> Result<CampaignOutcome, InvariantViolation> {
-    let mut server = build_space(cfg.devices);
-    if !cfg.staged_recovery {
-        server.set_ladder(DegradationLadder::strict());
-        server.set_retry_policy(RetryPolicy::strict());
-    }
-    server.set_config_cache(cfg.config_cache);
-    server.set_placement_strategy(cfg.placement);
-    let workload = WorkloadConfig::overload(cfg.requests, cfg.horizon_h);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let trace = workload.generate(&mut rng);
-
-    let imperfect = !cfg.perfect_detection();
-    let grace_ms = cfg.detection_grace_h * 3_600_000.0;
-    // The detector lives exactly as long as the heartbeat stream: lease
-    // checks that fire after the last scheduled heartbeat are ignored
-    // (otherwise every healthy device would be "suspected" at the end of
-    // the campaign simply because its renewals stopped with the
-    // schedule). The final anti-entropy sweep below reconciles whatever
-    // is still unreachable at that point.
-    let hb_steps = if imperfect {
-        assert!(
-            cfg.heartbeat_period_h > 0.0,
-            "imperfect detection needs a positive heartbeat period"
-        );
-        (cfg.horizon_h / cfg.heartbeat_period_h).floor() as usize
-    } else {
-        0
-    };
-    let hb_end_h = hb_steps as f64 * cfg.heartbeat_period_h;
-
+    let mut shard = Shard::new(cfg.clone());
     let mut queue: EventQueue<CampaignEvent> = EventQueue::new();
-    for (i, r) in trace.iter().enumerate() {
-        queue.schedule(r.arrival_h, CampaignEvent::Arrival(i));
-        queue.schedule(r.departure_h(), CampaignEvent::Departure(i));
-    }
-    for (j, f) in schedule.iter().enumerate() {
-        queue.schedule(f.at_h, CampaignEvent::Fault(j));
-    }
-    if imperfect {
-        // Multiples of the period (not an accumulating sum) so the last
-        // heartbeat lands exactly on the horizon when it divides evenly.
-        for d in 0..cfg.devices {
-            for k in 0..=hb_steps {
-                queue.schedule(
-                    k as f64 * cfg.heartbeat_period_h,
-                    CampaignEvent::Heartbeat(d),
-                );
-            }
-        }
-    }
-
-    let mut report = FaultReport {
-        seed: cfg.seed,
-        ..FaultReport::default()
-    };
-    let mut log = EventLog::default();
-    let mut down: BTreeSet<usize> = BTreeSet::new();
-    let mut det = DetectorState::new(cfg.devices);
-    // request index -> live session, and the reverse (for drop handling).
-    let mut active: BTreeMap<usize, SessionId> = BTreeMap::new();
-    let mut by_session: BTreeMap<SessionId, usize> = BTreeMap::new();
-    let mut last_h = 0.0_f64;
-    let mut idx = 0usize;
-    let stride = cfg.invariant_stride.max(1) as u64;
-    let mut iterations = 0u64;
-    // Hour of the last anti-entropy sweep: consecutive lease checks at
-    // one instant share a single sweep (see the LeaseCheck arm).
-    let mut last_sweep_h: Option<f64> = None;
+    let tl = Timeline::seed(cfg, schedule, &mut queue);
     let mut memo = DenialMemo::default();
     // Reused across arrivals: the reachable-device scratch buffer.
     let mut up: Vec<usize> = Vec::with_capacity(cfg.devices);
 
     while let Some((at_h, event)) = queue.pop() {
-        let delta_h = (at_h - last_h).max(0.0);
-        server.play(delta_h * 3600.0);
-        last_h = at_h;
-
-        let mut lines: Vec<String> = Vec::new();
+        shard.advance(at_h);
         match event {
             CampaignEvent::Arrival(i) => {
-                report.events += 1;
-                let req = &trace[i];
-                report.arrivals += 1;
+                shard.report.events += 1;
+                let graph_index = tl.trace[i].graph_index;
                 up.clear();
-                up.extend((0..cfg.devices).filter(|d| !down.contains(d)));
-                let client = up[(splitmix64(cfg.seed ^ i as u64) % up.len() as u64) as usize];
-                let (name, graph) = app_template(req.graph_index);
+                shard.extend_up(0, &mut up);
+                let client = draw_client(cfg.seed, i, &up);
                 // A denial memoized since the last mutation is exactly
                 // what `start_session` would raise again (see
                 // `DenialMemo`).
-                let key = (req.graph_index, client);
+                let key = (graph_index, client);
                 let outcome = if let Some(denial) = memo.denials.get(&key) {
                     memo.stats.adopted += 1;
                     Err(denial.clone())
                 } else {
                     memo.stats.inline_speculated += 1;
-                    let outcome = server.start_session(
-                        format!("{name}-{i}"),
-                        graph,
-                        QosVector::new(),
-                        DeviceId::from_index(client),
-                    );
+                    let outcome = shard.start(i, graph_index, client);
                     if let Err(e) = &outcome {
                         if cfg.config_cache && !matches!(e, ConfigureError::StaleView { .. }) {
                             memo.stats.primed += 1;
@@ -782,192 +725,502 @@ pub fn run_fault_campaign_with(
                     }
                     outcome
                 };
-                // Hot path: these lines go straight into the log (one
-                // String, one formatting pass) instead of through the
-                // `lines` staging buffer.
-                match outcome {
-                    Ok(id) => {
-                        memo.clear();
-                        report.admitted += 1;
-                        active.insert(i, id);
-                        by_session.insert(id, i);
-                        log.push_args(
-                            idx,
-                            at_h,
-                            format_args!(
-                                "arrive  req{i} {name} client=dev{client} -> admitted as {id}"
-                            ),
-                        );
-                    }
-                    Err(e) if matches!(e, ConfigureError::StaleView { .. }) => {
-                        // The stale-view admission path: the view said
-                        // yes, reality said no at activation. Nothing
-                        // was charged; the session parks (counted as
-                        // admitted — its fate resolves later) instead
-                        // of being denied outright.
-                        report.admitted += 1;
-                        report.parked += 1;
-                        let (_, graph) = app_template(req.graph_index);
-                        let id = server.park_arrival(
-                            format!("{name}-{i}"),
-                            graph,
-                            QosVector::new(),
-                            DeviceId::from_index(client),
-                            None,
-                            e,
-                        );
-                        active.insert(i, id);
-                        by_session.insert(id, i);
-                        log.push_args(
-                            idx,
-                            at_h,
-                            format_args!(
-                                "arrive  req{i} {name} client=dev{client} -> parked on stale view as {id}"
-                            ),
-                        );
-                    }
-                    Err(e) => {
-                        report.denied += 1;
-                        log.push_args(
-                            idx,
-                            at_h,
-                            format_args!(
-                                "arrive  req{i} {name} client=dev{client} -> denied ({e})"
-                            ),
-                        );
+                match shard.settle_arrival(i, graph_index, client, client, "", outcome, at_h) {
+                    Admission::Admitted(_) => memo.clear(),
+                    Admission::Parked(_) => {}
+                    Admission::Refused(e) => {
+                        shard.deny_arrival(i, graph_index, client, "", &e, at_h);
                     }
                 }
-                idx += 1;
             }
             CampaignEvent::Departure(i) => {
-                report.events += 1;
-                match active.remove(&i) {
-                    Some(id) => {
-                        by_session.remove(&id);
-                        let stopped = server.stop_session(id);
-                        debug_assert!(stopped.is_some(), "active map tracks live sessions");
-                        // The refund changed residual capacity.
-                        memo.clear();
-                        report.completed += 1;
-                        log.push_args(
-                            idx,
-                            at_h,
-                            format_args!("depart  req{i} -> completed ({id})"),
-                        );
-                    }
-                    None => {
-                        log.push_args(idx, at_h, format_args!("depart  req{i} -> already gone"));
-                    }
+                // A completed departure's refund changed residual
+                // capacity.
+                if shard.depart(i, at_h).is_some() {
+                    memo.clear();
                 }
-                idx += 1;
             }
             CampaignEvent::Fault(j) => {
-                report.events += 1;
                 // Conservatively treat every fault as a mutation (even
                 // skipped ones — the check costs nothing).
                 memo.clear();
-                let fault = &schedule[j];
-                lines.push(apply_fault(
-                    &mut server,
-                    fault,
-                    cfg,
-                    &mut down,
-                    &mut det,
-                    &mut active,
-                    &mut by_session,
-                    &mut report,
-                ));
+                shard.fault(&schedule[j], at_h);
             }
             CampaignEvent::Heartbeat(d) => {
-                let lost =
-                    down.contains(&d) || det.partition_depth[d] > 0 || at_h < det.jam_until_h[d];
-                if !lost {
-                    if let Some(rec) = server.heartbeat(DeviceId::from_index(d), grace_ms) {
-                        // A heartbeat from a *suspected* device: the
-                        // suspicion was stale (heal or recovery) and is
-                        // withdrawn.
+                if let Some(reinstated) = shard.heartbeat(d, at_h, tl.grace_ms, &mut ()) {
+                    if reinstated {
                         memo.clear();
-                        report.reinstatements += 1;
-                        count_pass(&rec, &mut report);
-                        let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-                        lines.push(format!(
-                            "detect  reinstate dev{d} (lease renewed) -> {tail}"
-                        ));
                     }
                     queue.schedule(at_h + cfg.detection_grace_h, CampaignEvent::LeaseCheck(d));
                 }
             }
-            CampaignEvent::LeaseCheck(_) if at_h > hb_end_h + 1e-9 => {
-                // Detector decommissioned with the heartbeat stream; the
-                // final sweep below reconciles remaining ground truth.
-            }
-            CampaignEvent::LeaseCheck(_) if last_sweep_h == Some(at_h) => {
-                // Hoisted: heartbeats land on shared period multiples,
-                // so their lease checks cluster at identical instants
-                // and pop consecutively (in-loop schedules always
-                // follow same-time setup events in seq order, and only
-                // lease checks are scheduled in-loop). The first check
-                // at this instant already swept *every* overdue lease
-                // and revoked it; nothing between two same-instant
-                // checks can create a new overdue lease, so the repeat
-                // sweep is provably empty and skipped — no lines, no
-                // counters, digests byte-identical to sweeping again.
-            }
             CampaignEvent::LeaseCheck(_) => {
-                // Anti-entropy: *every* overdue lease is swept, not just
-                // the one whose renewal scheduled this check.
-                last_sweep_h = Some(at_h);
-                let mut swept = false;
-                for (device, rec) in server.expire_overdue_leases() {
-                    swept = true;
-                    report.suspicions += 1;
-                    let ground_up = !down.contains(&device.index());
-                    if ground_up {
-                        report.false_suspected += 1;
-                    }
-                    count_pass(&rec, &mut report);
-                    let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-                    let tag = if ground_up { " (falsely)" } else { "" };
-                    lines.push(format!(
-                        "detect  suspect dev{}{tag} (lease expired) -> {tail}",
-                        device.index()
-                    ));
-                }
-                if swept {
+                if shard.lease_check(at_h, tl.hb_end_h, &mut ()) == Some(true) {
                     memo.clear();
                 }
             }
         }
-        for line in &lines {
-            log.push(idx, at_h, line);
-            idx += 1;
-        }
-
-        // Drain any parked-session retries that became due as virtual
-        // time advanced (recovery passes drain their own; this catches
-        // time passing through arrivals/departures/switches).
-        let retries = server.process_retries();
-        if !retries.is_empty() {
+        if shard.end_event(at_h, tl.hb_end_h, &mut ())? {
             memo.clear();
-            let tail = absorb_recovery(&retries, &mut active, &mut by_session, &mut report);
-            log.push(idx, at_h, &format!("retry   parked queue -> {tail}"));
-            idx += 1;
         }
+    }
+    shard.finalize(&mut ())?;
+    // Everything still live or parked at the horizon is neither
+    // completed nor dropped; fates must balance exactly.
+    debug_assert!(
+        shard.report.session_fates_balance(),
+        "fates balance: {:?}",
+        shard.report
+    );
+    Ok(CampaignOutcome {
+        stages: shard.server.stage_times(),
+        report: shard.report,
+        log: shard.log,
+        pipeline: Some(memo.stats),
+    })
+}
 
-        iterations += 1;
-        if !iterations.is_multiple_of(stride) {
-            continue;
-        }
-        // Cloned lazily — only checked iterations pay for the violation
-        // context.
-        let event_line = log.lines().last().cloned().unwrap_or_default();
-        report.invariant_checks += 1;
-        let observed: BTreeSet<usize> = if imperfect {
-            server.suspected_devices().clone()
+/// The client device request `i` runs on: a seeded draw over the
+/// reachable devices `up` that never consumes the workload RNG stream.
+pub(crate) fn draw_client(seed: u64, i: usize, up: &[usize]) -> usize {
+    up[(splitmix64(seed ^ i as u64) % up.len() as u64) as usize]
+}
+
+/// What both campaign drivers derive from the config before the first
+/// event: the request trace, the detection grace, and the heartbeat
+/// horizon. [`Timeline::seed`] also fills the DES queue in the reference
+/// order, so a one-domain federation pops exactly the serial sequence.
+pub(crate) struct Timeline {
+    /// The workload's requests, by index.
+    pub(crate) trace: Vec<Request>,
+    /// The detection grace in milliseconds (every lease's length).
+    pub(crate) grace_ms: f64,
+    /// Hour of the last scheduled heartbeat. The detector lives exactly
+    /// as long as the heartbeat stream: lease checks after it are
+    /// ignored (otherwise every healthy device would be "suspected" at
+    /// the end of the campaign simply because its renewals stopped with
+    /// the schedule), and [`Shard::finalize`] reconciles whatever is
+    /// still unreachable at that point.
+    pub(crate) hb_end_h: f64,
+}
+
+impl Timeline {
+    /// Derives the timeline of `cfg` and schedules, in order: arrival
+    /// and departure per request, each fault by schedule index, and
+    /// (imperfect detection only) every device's heartbeats,
+    /// device-major over `cfg.devices`.
+    pub(crate) fn seed<E: From<CampaignEvent>>(
+        cfg: &FaultCampaignConfig,
+        schedule: &[TimedFault],
+        queue: &mut EventQueue<E>,
+    ) -> Timeline {
+        let workload = WorkloadConfig::overload(cfg.requests, cfg.horizon_h);
+        let trace = workload.generate(&mut StdRng::seed_from_u64(cfg.seed));
+        let imperfect = !cfg.perfect_detection();
+        let hb_steps = if imperfect {
+            assert!(
+                cfg.heartbeat_period_h > 0.0,
+                "imperfect detection needs a positive heartbeat period"
+            );
+            (cfg.horizon_h / cfg.heartbeat_period_h).floor() as usize
         } else {
-            down.clone()
+            0
         };
-        if let Err(violation) = check_invariants(&server, &observed) {
+        for (i, r) in trace.iter().enumerate() {
+            queue.schedule(r.arrival_h, CampaignEvent::Arrival(i).into());
+            queue.schedule(r.departure_h(), CampaignEvent::Departure(i).into());
+        }
+        for (j, f) in schedule.iter().enumerate() {
+            queue.schedule(f.at_h, CampaignEvent::Fault(j).into());
+        }
+        if imperfect {
+            // Multiples of the period (not an accumulating sum) so the
+            // last heartbeat lands exactly on the horizon when it
+            // divides evenly.
+            for d in 0..cfg.devices {
+                for k in 0..=hb_steps {
+                    queue.schedule(
+                        k as f64 * cfg.heartbeat_period_h,
+                        CampaignEvent::Heartbeat(d).into(),
+                    );
+                }
+            }
+        }
+        Timeline {
+            trace,
+            grace_ms: cfg.detection_grace_h * 3_600_000.0,
+            hb_end_h: hb_steps as f64 * cfg.heartbeat_period_h,
+        }
+    }
+}
+
+/// How an arrival's admission attempt resolved (see
+/// [`Shard::settle_arrival`]).
+pub(crate) enum Admission {
+    /// Admitted as a live session.
+    Admitted(SessionId),
+    /// Parked on a stale view (counted admitted; its fate resolves
+    /// later).
+    Parked(SessionId),
+    /// Refused. Nothing is booked yet: the caller denies the arrival (a
+    /// federation may first try another domain).
+    Refused(ConfigureError),
+}
+
+/// The fate a recovery pass gave a session (see [`Custody::claim`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Swept {
+    Dropped,
+    Parked,
+    Readmitted,
+}
+
+/// Claims on sessions a shard's server holds outside the shard's fate
+/// ledger, consulted whenever a recovery pass is absorbed. The serial
+/// driver holds none (`()`). A federation holds handoff reservations
+/// this way, and records which sessions each pass untracked (its
+/// write-ahead log replays exactly those edits).
+pub(crate) trait Custody {
+    /// Whether session `id`, swept to `fate` by a recovery pass, is held
+    /// for someone else — it then stays out of the shard's counters and
+    /// session tables.
+    fn claim(&mut self, _id: SessionId, _fate: Swept) -> bool {
+        false
+    }
+    /// A recovery pass is about to be absorbed.
+    fn begin_pass(&mut self) {}
+    /// The pass dropped request `req`'s session `id`, and the shard
+    /// untracked it.
+    fn untracked(&mut self, _req: usize, _id: SessionId) {}
+}
+
+impl Custody for () {}
+
+/// One domain's campaign state: a [`DomainServer`] plus the bookkeeping
+/// the campaign keeps around it. The serial driver runs one; a
+/// federation runs one per domain and routes each event to the shard
+/// that owns it. Every per-domain arm — admission, departure, faults,
+/// heartbeats, lease sweeps, the per-event epilogue and the end-of-run
+/// phase — lives here once, so the two drivers cannot drift apart.
+/// Fields are crate-visible so the durability layer can snapshot,
+/// replay, and fingerprint them.
+pub(crate) struct Shard {
+    pub(crate) server: DomainServer,
+    /// The campaign config with `devices` set to this domain's size.
+    pub(crate) cfg: FaultCampaignConfig,
+    pub(crate) log: EventLog,
+    pub(crate) report: FaultReport,
+    /// Ground truth: the devices that are physically down.
+    pub(crate) down: BTreeSet<usize>,
+    pub(crate) det: DetectorState,
+    /// Request index → tracked (live or parked) session, and the
+    /// reverse (for drop handling).
+    pub(crate) active: BTreeMap<usize, SessionId>,
+    pub(crate) by_session: BTreeMap<SessionId, usize>,
+    /// The shard clock, in hours.
+    pub(crate) last_h: f64,
+    /// Events finished so far (the invariant stride counts these).
+    pub(crate) iterations: u64,
+    /// Hour of the last anti-entropy sweep: consecutive lease checks at
+    /// one instant share a single sweep (see [`Shard::lease_check`]).
+    pub(crate) last_sweep_h: Option<f64>,
+}
+
+impl Shard {
+    /// A fresh domain of `cfg.devices` devices ([`build_space`]), with
+    /// the strict ladder and retry policy when staged recovery is off,
+    /// and the config's cache and placement settings.
+    pub(crate) fn new(cfg: FaultCampaignConfig) -> Shard {
+        let mut server = build_space(cfg.devices);
+        if !cfg.staged_recovery {
+            server.set_ladder(DegradationLadder::strict());
+            server.set_retry_policy(RetryPolicy::strict());
+        }
+        server.set_config_cache(cfg.config_cache);
+        server.set_placement_strategy(cfg.placement);
+        Shard {
+            server,
+            log: EventLog::default(),
+            report: FaultReport {
+                seed: cfg.seed,
+                ..FaultReport::default()
+            },
+            down: BTreeSet::new(),
+            det: DetectorState::new(cfg.devices),
+            active: BTreeMap::new(),
+            by_session: BTreeMap::new(),
+            last_h: 0.0,
+            iterations: 0,
+            last_sweep_h: None,
+            cfg,
+        }
+    }
+
+    /// Moves the shard clock forward to `at_h` (never backwards).
+    pub(crate) fn advance(&mut self, at_h: f64) {
+        let delta_h = (at_h - self.last_h).max(0.0);
+        self.server.play(delta_h * 3600.0);
+        self.last_h = at_h;
+    }
+
+    /// Appends this shard's ground-truth reachable devices to `up`,
+    /// numbered from `offset`.
+    pub(crate) fn extend_up(&self, offset: usize, up: &mut Vec<usize>) {
+        up.extend(
+            (0..self.cfg.devices)
+                .filter(|d| !self.down.contains(d))
+                .map(|d| offset + d),
+        );
+    }
+
+    /// The tracked sessions that currently hold a live placement
+    /// (parked ones have none), in session order.
+    pub(crate) fn live_sessions(&self) -> impl Iterator<Item = SessionId> + '_ {
+        self.by_session
+            .keys()
+            .copied()
+            .filter(|&id| self.server.session(id).is_some())
+    }
+
+    fn track(&mut self, req: usize, id: SessionId) {
+        self.active.insert(req, id);
+        self.by_session.insert(id, req);
+    }
+
+    /// Runs the configurator for request `i` (template `graph_index`)
+    /// on local client device `client_local`.
+    pub(crate) fn start(
+        &mut self,
+        i: usize,
+        graph_index: usize,
+        client_local: usize,
+    ) -> Result<SessionId, ConfigureError> {
+        let (name, graph) = app_template(graph_index);
+        self.server.start_session(
+            format!("{name}-{i}"),
+            graph,
+            QosVector::new(),
+            DeviceId::from_index(client_local),
+        )
+    }
+
+    /// Books request `i`'s admission `outcome`. An admission is tracked
+    /// and logged. A stale view — the view said yes, reality said no at
+    /// activation, so nothing was charged — parks the session (counted
+    /// admitted) instead of denying it. Any other error comes back
+    /// unbooked. `client` is the device as the log names it, and `via`
+    /// tags a forwarded arrival (`""` for none).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn settle_arrival(
+        &mut self,
+        i: usize,
+        graph_index: usize,
+        client_local: usize,
+        client: usize,
+        via: &str,
+        outcome: Result<SessionId, ConfigureError>,
+        at_h: f64,
+    ) -> Admission {
+        let name = app_name(graph_index);
+        match outcome {
+            Ok(id) => {
+                self.report.arrivals += 1;
+                self.report.admitted += 1;
+                self.track(i, id);
+                self.log.push_args(
+                    at_h,
+                    format_args!(
+                        "arrive  req{i} {name} client=dev{client}{via} -> admitted as {id}"
+                    ),
+                );
+                Admission::Admitted(id)
+            }
+            Err(e @ ConfigureError::StaleView { .. }) => {
+                self.report.arrivals += 1;
+                self.report.admitted += 1;
+                self.report.parked += 1;
+                let (_, graph) = app_template(graph_index);
+                let id = self.server.park_arrival(
+                    format!("{name}-{i}"),
+                    graph,
+                    QosVector::new(),
+                    DeviceId::from_index(client_local),
+                    None,
+                    e,
+                );
+                self.track(i, id);
+                self.log.push_args(
+                    at_h,
+                    format_args!(
+                        "arrive  req{i} {name} client=dev{client}{via} -> parked on stale view as {id}"
+                    ),
+                );
+                Admission::Parked(id)
+            }
+            Err(e) => Admission::Refused(e),
+        }
+    }
+
+    /// Denies request `i` with `err` (arguments as in
+    /// [`Shard::settle_arrival`]).
+    pub(crate) fn deny_arrival(
+        &mut self,
+        i: usize,
+        graph_index: usize,
+        client: usize,
+        via: &str,
+        err: &dyn fmt::Display,
+        at_h: f64,
+    ) {
+        self.report.arrivals += 1;
+        self.report.denied += 1;
+        let name = app_name(graph_index);
+        self.log.push_args(
+            at_h,
+            format_args!("arrive  req{i} {name} client=dev{client}{via} -> denied ({err})"),
+        );
+    }
+
+    /// Request `i`'s lifetime ends: its session, if it still has one,
+    /// stops with an exact refund. Returns the completed session.
+    pub(crate) fn depart(&mut self, i: usize, at_h: f64) -> Option<SessionId> {
+        self.report.events += 1;
+        let Some(id) = self.active.remove(&i) else {
+            self.log
+                .push_args(at_h, format_args!("depart  req{i} -> already gone"));
+            return None;
+        };
+        self.by_session.remove(&id);
+        let stopped = self.server.stop_session(id);
+        debug_assert!(stopped.is_some(), "active map tracks live sessions");
+        self.report.completed += 1;
+        self.log
+            .push_args(at_h, format_args!("depart  req{i} -> completed ({id})"));
+        Some(id)
+    }
+
+    /// One scheduled (shard-local) fault: applied and logged.
+    pub(crate) fn fault(&mut self, fault: &TimedFault, at_h: f64) {
+        self.report.events += 1;
+        let line = self.apply_fault(fault);
+        self.log.push(at_h, &line);
+    }
+
+    /// Device `d`'s periodic heartbeat. Returns `None` when it is lost
+    /// (the device is down, partitioned, or jammed). Otherwise it renews
+    /// the device's lease, and a heartbeat from a *suspected* device
+    /// withdraws the stale suspicion (heal or recovery); returns whether
+    /// it did.
+    pub(crate) fn heartbeat(
+        &mut self,
+        d: usize,
+        at_h: f64,
+        grace_ms: f64,
+        custody: &mut impl Custody,
+    ) -> Option<bool> {
+        let lost = self.down.contains(&d)
+            || self.det.partition_depth[d] > 0
+            || at_h < self.det.jam_until_h[d];
+        if lost {
+            return None;
+        }
+        let Some(rec) = self.server.heartbeat(DeviceId::from_index(d), grace_ms) else {
+            return Some(false);
+        };
+        self.report.reinstatements += 1;
+        self.count_pass(&rec);
+        let tail = self.absorb(&rec, custody);
+        self.log.push_args(
+            at_h,
+            format_args!("detect  reinstate dev{d} (lease renewed) -> {tail}"),
+        );
+        Some(true)
+    }
+
+    /// The anti-entropy sweep scheduled `grace` after a lease renewal:
+    /// *every* overdue lease turns into a suspicion, not just the
+    /// renewing device's. Returns whether it suspected anything, or
+    /// `None` when skipped:
+    ///
+    /// * after the heartbeat horizon `hb_end_h` the detector is
+    ///   decommissioned ([`Shard::finalize`] reconciles the rest);
+    /// * a second check at the instant of the last sweep is hoisted.
+    ///   Heartbeats land on shared period multiples, so their lease
+    ///   checks cluster at identical instants and pop consecutively.
+    ///   The first check already swept and revoked *every* overdue
+    ///   lease, and nothing between two same-instant checks can make a
+    ///   new one overdue, so the repeat sweep is provably empty — no
+    ///   lines, no counters, digests byte-identical to sweeping again.
+    pub(crate) fn lease_check(
+        &mut self,
+        at_h: f64,
+        hb_end_h: f64,
+        custody: &mut impl Custody,
+    ) -> Option<bool> {
+        if at_h > hb_end_h + 1e-9 || self.last_sweep_h == Some(at_h) {
+            return None;
+        }
+        self.last_sweep_h = Some(at_h);
+        let mut swept = false;
+        for (device, rec) in self.server.expire_overdue_leases() {
+            swept = true;
+            self.report.suspicions += 1;
+            let ground_up = !self.down.contains(&device.index());
+            if ground_up {
+                self.report.false_suspected += 1;
+            }
+            self.count_pass(&rec);
+            let tail = self.absorb(&rec, custody);
+            let tag = if ground_up { " (falsely)" } else { "" };
+            self.log.push_args(
+                at_h,
+                format_args!(
+                    "detect  suspect dev{}{tag} (lease expired) -> {tail}",
+                    device.index()
+                ),
+            );
+        }
+        Some(swept)
+    }
+
+    /// The per-event epilogue. Drains parked-session retries that came
+    /// due as virtual time advanced (recovery passes drain their own;
+    /// this catches time passing through arrivals, departures and
+    /// switches). Then, every `invariant_stride`-th event, sweeps the
+    /// invariants and — while the detector runs (up to `hb_end_h`) —
+    /// its soundness after grace. Returns whether the drain moved a
+    /// session.
+    pub(crate) fn end_event(
+        &mut self,
+        at_h: f64,
+        hb_end_h: f64,
+        custody: &mut impl Custody,
+    ) -> Result<bool, InvariantViolation> {
+        let retries = self.server.process_retries();
+        let moved = !retries.is_empty();
+        if moved {
+            let tail = self.absorb(&retries, custody);
+            self.log
+                .push_args(at_h, format_args!("retry   parked queue -> {tail}"));
+        }
+        self.iterations += 1;
+        if !self
+            .iterations
+            .is_multiple_of(self.cfg.invariant_stride.max(1) as u64)
+        {
+            return Ok(moved);
+        }
+        let imperfect = !self.cfg.perfect_detection();
+        // Cloned lazily — only checked events pay for the violation
+        // context.
+        let event_line = self.log.lines().last().cloned().unwrap_or_default();
+        self.report.invariant_checks += 1;
+        let observed: BTreeSet<usize> = if imperfect {
+            self.server.suspected_devices().clone()
+        } else {
+            self.down.clone()
+        };
+        if let Err(violation) = check_invariants(&self.server, &observed) {
             return Err(InvariantViolation {
                 at_h_milli: (at_h * 1000.0).round() as u64,
                 event: event_line,
@@ -979,387 +1232,423 @@ pub fn run_fault_campaign_with(
             // unreachable longer than grace + one heartbeat period, some
             // lease check must have suspected it. Only enforceable while
             // the heartbeat stream (and thus the detector) is running.
-            let lag = cfg.detection_grace_h + cfg.heartbeat_period_h + 1e-6;
-            for (&d, &since) in &det.unreachable_since {
-                if at_h > since + lag && !server.is_suspected(DeviceId::from_index(d)) {
+            let lag = self.cfg.detection_grace_h + self.cfg.heartbeat_period_h + 1e-6;
+            for (&d, &since) in &self.det.unreachable_since {
+                if at_h > since + lag && !self.server.is_suspected(DeviceId::from_index(d)) {
                     return Err(InvariantViolation {
                         at_h_milli: (at_h * 1000.0).round() as u64,
                         event: event_line,
                         violation: format!(
                             "detector unsound: dev{d} unreachable since t={since:.4}h \
                              still unsuspected at t={at_h:.4}h (grace {:.4}h)",
-                            cfg.detection_grace_h
+                            self.cfg.detection_grace_h
                         ),
                     });
                 }
             }
         }
+        Ok(moved)
     }
 
-    if imperfect {
-        // Anti-entropy finalize: any device still unreachable at the end
-        // of the horizon whose lease check has not fired yet is swept
-        // now, so the convergence drain below sees the true capacity.
-        for d in 0..cfg.devices {
-            let unreachable = down.contains(&d) || det.partition_depth[d] > 0;
-            if unreachable && !server.is_suspected(DeviceId::from_index(d)) {
-                report.suspicions += 1;
-                if !down.contains(&d) {
-                    report.false_suspected += 1;
+    /// The end-of-run phase. Under imperfect detection, a last
+    /// anti-entropy sweep suspects every device still unreachable whose
+    /// lease check has not fired, so the convergence drain sees the true
+    /// capacity. The drain then pumps the retry queue dry (eventual
+    /// completeness): every parked session re-admits (the schedule
+    /// eventually healed) or exhausts its finite retry budget and drops
+    /// witnessed — nothing stays parked forever. Finally the report's
+    /// end-of-run fields and the log digest are filled in.
+    pub(crate) fn finalize(
+        &mut self,
+        custody: &mut impl Custody,
+    ) -> Result<(), InvariantViolation> {
+        if !self.cfg.perfect_detection() {
+            for d in 0..self.cfg.devices {
+                let unreachable = self.down.contains(&d) || self.det.partition_depth[d] > 0;
+                if unreachable && !self.server.is_suspected(DeviceId::from_index(d)) {
+                    self.report.suspicions += 1;
+                    if !self.down.contains(&d) {
+                        self.report.false_suspected += 1;
+                    }
+                    let rec = self.server.suspect_many(&[DeviceId::from_index(d)]);
+                    self.count_pass(&rec);
+                    let tail = self.absorb(&rec, custody);
+                    let at_h = self.last_h;
+                    self.log.push_args(
+                        at_h,
+                        format_args!("detect  suspect dev{d} (final sweep) -> {tail}"),
+                    );
                 }
-                let rec = server.suspect_many(&[DeviceId::from_index(d)]);
-                count_pass(&rec, &mut report);
-                let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-                log.push(
-                    idx,
-                    last_h,
-                    &format!("detect  suspect dev{d} (final sweep) -> {tail}"),
-                );
-                idx += 1;
+            }
+            while self.server.parked_count() > 0 {
+                let next_ms = self
+                    .server
+                    .parked_sessions()
+                    .map(|(_, p)| p.next_retry_ms)
+                    .fold(f64::INFINITY, f64::min);
+                if next_ms > self.server.now_ms() {
+                    self.server.play((next_ms - self.server.now_ms()) / 1000.0);
+                }
+                let rec = self.server.process_retries();
+                let drain_h = self.server.now_ms() / 3_600_000.0;
+                let tail = self.absorb(&rec, custody);
+                self.log
+                    .push_args(drain_h, format_args!("drain   parked queue -> {tail}"));
+                self.last_h = self.last_h.max(drain_h);
+                self.report.invariant_checks += 1;
+                let observed: BTreeSet<usize> = self.server.suspected_devices().clone();
+                if let Err(violation) = check_invariants(&self.server, &observed) {
+                    return Err(InvariantViolation {
+                        at_h_milli: (drain_h * 1000.0).round() as u64,
+                        event: "drain   parked queue".to_owned(),
+                        violation,
+                    });
+                }
             }
         }
-        // Eventual completeness: pump the retry queue dry. Every parked
-        // session either re-admits (the schedule eventually healed) or
-        // exhausts its finite retry budget and drops witnessed — nothing
-        // stays parked forever.
-        while server.parked_count() > 0 {
-            let next_ms = server
-                .parked_sessions()
-                .map(|(_, p)| p.next_retry_ms)
-                .fold(f64::INFINITY, f64::min);
-            if next_ms > server.now_ms() {
-                server.play((next_ms - server.now_ms()) / 1000.0);
+        self.report.live_at_end = self.server.session_count() as u32;
+        self.report.parked_at_end = self.server.parked_count() as u32;
+        self.report.stale_views = self.server.stale_view_count() as u32;
+        self.report.log_digest = self.log.digest();
+        Ok(())
+    }
+
+    /// Applies one shard-local fault to the server, updating the
+    /// bookkeeping, and returns the log line describing what actually
+    /// happened (the caller logs it; write-ahead replay discards it).
+    pub(crate) fn apply_fault(&mut self, fault: &TimedFault) -> String {
+        let imperfect = !self.cfg.perfect_detection();
+        match fault.kind {
+            FaultKind::Crash { device } => {
+                // The schedule's up/down state machine ran in generation
+                // order; after time-sorting, a crash may arrive while the
+                // device is already down or is the last survivor. Skip
+                // those (logged), so the space never fully blacks out.
+                if self.down.contains(&device) {
+                    return format!("fault   crash dev{device} -> skipped (already down)");
+                }
+                if self.down.len() + 1 >= self.cfg.devices {
+                    return format!("fault   crash dev{device} -> skipped (last device up)");
+                }
+                self.report.crashes += 1;
+                self.down.insert(device);
+                if imperfect {
+                    // Ground truth only: the detector learns nothing
+                    // until the device's lease expires.
+                    self.server
+                        .set_reachable(DeviceId::from_index(device), false);
+                    self.det
+                        .unreachable_since
+                        .entry(device)
+                        .or_insert(fault.at_h);
+                    return format!(
+                        "fault   crash dev{device} -> undetected (awaiting lease expiry)"
+                    );
+                }
+                let rec = self.server.handle_crash(DeviceId::from_index(device));
+                let tail = self.pass(&rec);
+                format!("fault   crash dev{device} -> {tail}")
             }
-            let rec = server.process_retries();
-            let drain_h = server.now_ms() / 3_600_000.0;
-            let tail = absorb_recovery(&rec, &mut active, &mut by_session, &mut report);
-            log.push(idx, drain_h, &format!("drain   parked queue -> {tail}"));
-            idx += 1;
-            report.invariant_checks += 1;
-            let observed: BTreeSet<usize> = server.suspected_devices().clone();
-            if let Err(violation) = check_invariants(&server, &observed) {
-                return Err(InvariantViolation {
-                    at_h_milli: (drain_h * 1000.0).round() as u64,
-                    event: "drain   parked queue".to_owned(),
-                    violation,
-                });
+            FaultKind::CrashScope { first, count } => {
+                // Same skip rules as single crashes, applied member-wise,
+                // and the whole group shrinks (from the back) until a
+                // survivor remains outside it.
+                let mut members: Vec<usize> = (first..first + count)
+                    .filter(|d| !self.down.contains(d))
+                    .collect();
+                while !members.is_empty() && self.down.len() + members.len() >= self.cfg.devices {
+                    members.pop();
+                }
+                let Some(&last) = members.last() else {
+                    return format!(
+                        "fault   crash-scope dev{first}+{count} -> skipped (no member can go down)"
+                    );
+                };
+                self.report.crashes += members.len() as u32;
+                if members.len() >= 2 {
+                    self.report.correlated_crashes += 1;
+                }
+                self.down.extend(members.iter().copied());
+                let n = members.len();
+                if imperfect {
+                    for &d in &members {
+                        self.server.set_reachable(DeviceId::from_index(d), false);
+                        self.det.unreachable_since.entry(d).or_insert(fault.at_h);
+                    }
+                    return format!(
+                        "fault   crash-scope dev{first}..dev{last} ({n} members) -> undetected (awaiting lease expiry)"
+                    );
+                }
+                let ids: Vec<DeviceId> = members.iter().map(|&d| DeviceId::from_index(d)).collect();
+                let rec = self.server.handle_crash_many(&ids);
+                let tail = self.pass(&rec);
+                format!("fault   crash-scope dev{first}..dev{last} ({n} members) -> {tail}")
+            }
+            FaultKind::Recover { device } => {
+                if !self.down.contains(&device) {
+                    return format!("fault   recover dev{device} -> skipped (already up)");
+                }
+                self.report.device_recoveries += 1;
+                self.down.remove(&device);
+                if imperfect {
+                    // Ground truth restored; if the crash was never even
+                    // suspected (shorter than the grace window) the blip
+                    // is tolerated invisibly, otherwise the next
+                    // heartbeat renews the lease and reinstates the
+                    // device.
+                    if self.det.partition_depth[device] == 0 {
+                        self.server
+                            .set_reachable(DeviceId::from_index(device), true);
+                        self.det.unreachable_since.remove(&device);
+                    }
+                    return format!(
+                        "fault   recover dev{device} -> reachable (awaiting heartbeat)"
+                    );
+                }
+                let rec = self.server.recover_device(DeviceId::from_index(device));
+                let tail = self.pass(&rec);
+                format!("fault   recover dev{device} -> {tail}")
+            }
+            FaultKind::Fluctuate { device, factor } => {
+                if self.down.contains(&device) {
+                    return format!("fault   fluctuate dev{device} -> skipped (down)");
+                }
+                if self.server.is_suspected(DeviceId::from_index(device)) {
+                    // A suspected device's capacity is held at zero by
+                    // the detector; applying the fluctuation would
+                    // overwrite it. Physically the fluctuation happens on
+                    // the (healthy) device, but the domain server cannot
+                    // observe it.
+                    return format!("fault   fluctuate dev{device} -> skipped (suspected)");
+                }
+                self.report.fluctuations += 1;
+                let pristine = self
+                    .server
+                    .pristine()
+                    .device(device)
+                    .expect("schedule device indexes the space")
+                    .availability()
+                    .clone();
+                let scaled = pristine
+                    .scaled_by(&vec![factor; pristine.dim()])
+                    .expect("factor vector matches dimension");
+                let rec = self.server.fluctuate(DeviceId::from_index(device), scaled);
+                let tail = self.pass(&rec);
+                format!("fault   fluctuate dev{device} x{factor:.3} -> {tail}")
+            }
+            FaultKind::DegradeLink { a, b, factor } => {
+                if self.down.contains(&a) || self.down.contains(&b) {
+                    return format!(
+                        "fault   degrade-link dev{a}-dev{b} -> skipped (endpoint down)"
+                    );
+                }
+                self.report.link_fluctuations += 1;
+                let mbps = self.server.pristine().bandwidth().get(a, b) * factor;
+                let rec = self.server.degrade_link(
+                    DeviceId::from_index(a),
+                    DeviceId::from_index(b),
+                    mbps,
+                );
+                let tail = self.pass(&rec);
+                format!("fault   degrade-link dev{a}-dev{b} x{factor:.3} -> {tail}")
+            }
+            FaultKind::SwitchDevice { pick, to } | FaultKind::MoveUser { pick, to } => {
+                let is_move = matches!(fault.kind, FaultKind::MoveUser { .. });
+                let ids: Vec<SessionId> = self.live_sessions().collect();
+                if ids.is_empty() {
+                    return format!(
+                        "fault   {} -> skipped (no live session)",
+                        move_label(is_move)
+                    );
+                }
+                let id = ids[(pick % ids.len() as u64) as usize];
+                self.relocate(id, is_move, to, to)
+            }
+            FaultKind::Partition { first, count } => {
+                if !imperfect {
+                    return format!(
+                        "fault   partition dev{first}+{count} -> skipped (perfect detection)"
+                    );
+                }
+                self.report.partitions += 1;
+                let hi = (first + count).min(self.cfg.devices);
+                for d in first..hi {
+                    self.det.partition_depth[d] += 1;
+                    if self.det.partition_depth[d] == 1 && !self.down.contains(&d) {
+                        self.server.set_reachable(DeviceId::from_index(d), false);
+                        self.det.unreachable_since.entry(d).or_insert(fault.at_h);
+                    }
+                }
+                format!(
+                    "fault   partition dev{first}+{} -> cut off from the domain server",
+                    hi - first
+                )
+            }
+            FaultKind::Heal { first, count } => {
+                if !imperfect {
+                    return format!(
+                        "fault   heal dev{first}+{count} -> skipped (perfect detection)"
+                    );
+                }
+                self.report.heals += 1;
+                let hi = (first + count).min(self.cfg.devices);
+                for d in first..hi {
+                    self.det.partition_depth[d] = self.det.partition_depth[d].saturating_sub(1);
+                    if self.det.partition_depth[d] == 0 && !self.down.contains(&d) {
+                        self.server.set_reachable(DeviceId::from_index(d), true);
+                        self.det.unreachable_since.remove(&d);
+                    }
+                }
+                format!(
+                    "fault   heal dev{first}+{} -> rejoined (awaiting heartbeat)",
+                    hi - first
+                )
+            }
+            FaultKind::JamHeartbeats { device, until_h } => {
+                if !imperfect {
+                    return format!(
+                        "fault   jam-heartbeats dev{device} -> skipped (perfect detection)"
+                    );
+                }
+                self.report.heartbeat_jams += 1;
+                self.det.jam_until_h[device] = self.det.jam_until_h[device].max(until_h);
+                format!("fault   jam-heartbeats dev{device} until t={until_h:010.4}h")
+            }
+            // Domain-server crashes only exist at the federation level;
+            // the serial harness runs the one immortal server these
+            // events cannot reach (the federated engine intercepts them
+            // before this dispatch).
+            FaultKind::ShardCrash { shard } => {
+                format!("fault   shard-crash shard{shard} -> skipped (serial harness)")
+            }
+            FaultKind::ShardRestart { shard } => {
+                format!("fault   shard-restart shard{shard} -> skipped (serial harness)")
             }
         }
     }
 
-    report.live_at_end = server.session_count() as u32;
-    report.parked_at_end = server.parked_count() as u32;
-    report.stale_views = server.stale_view_count() as u32;
-    // Everything still live or parked at the horizon is neither
-    // completed nor dropped; fates must balance exactly.
-    report.log_digest = log.digest();
-    debug_assert!(report.session_fates_balance(), "fates balance: {report:?}");
-    Ok(CampaignOutcome {
-        report,
-        log,
-        stages: server.stage_times(),
-        pipeline: Some(memo.stats),
-    })
+    /// Moves the user of live session `id` (`is_move`) or switches its
+    /// output device to local device `to_local`; `to` is the device as
+    /// the log names it. Returns the log line. A failure keeps the old
+    /// configuration.
+    pub(crate) fn relocate(
+        &mut self,
+        id: SessionId,
+        is_move: bool,
+        to_local: usize,
+        to: usize,
+    ) -> String {
+        let label = move_label(is_move);
+        let target = DeviceId::from_index(to_local);
+        let result = if is_move {
+            self.report.moves += 1;
+            self.server.move_user(id, None, target)
+        } else {
+            self.report.switches += 1;
+            self.server.switch_device(id, target)
+        };
+        match result {
+            Ok(plan) => format!(
+                "fault   {label} {id} -> dev{to} (resume at {:.4}s)",
+                plan.resume_position_s()
+            ),
+            Err(e) => {
+                if is_move {
+                    self.report.move_failures += 1;
+                } else {
+                    self.report.switch_failures += 1;
+                }
+                format!("fault   {label} {id} -> dev{to} failed ({e}), old config kept")
+            }
+        }
+    }
+
+    /// A fault arm's recovery pass: counted, then absorbed without
+    /// custody (fault replay re-runs the whole arm, so nothing needs
+    /// recording).
+    fn pass(&mut self, rec: &RecoveryReport) -> String {
+        self.count_pass(rec);
+        self.absorb(rec, &mut ())
+    }
+
+    /// Counts one recovery pass's O(affected)-vs-O(considered) work
+    /// (fault, detector and final-sweep passes — the retry-queue drain
+    /// is not a pass).
+    fn count_pass(&mut self, rec: &RecoveryReport) {
+        self.report.recovery_passes += 1;
+        self.report.recovery_considered += rec.considered as u32;
+        self.report.recovery_affected += rec.affected as u32;
+    }
+
+    /// Folds a [`RecoveryReport`] into the shard's bookkeeping and
+    /// renders its log tail. Re-placements (full-quality or degraded)
+    /// count as replacements; parked sessions stay tracked (a later
+    /// departure reaches them through `stop_session`); dropped ones are
+    /// untracked, and every drop must carry its witnessing error
+    /// (asserted). Sessions `custody` claims stay out of the counters
+    /// and tables, but the tail always describes the whole pass.
+    fn absorb(&mut self, rec: &RecoveryReport, custody: &mut impl Custody) -> String {
+        assert_eq!(
+            rec.dropped.len(),
+            rec.drop_errors.len(),
+            "every drop carries the error witnessing unplaceability"
+        );
+        custody.begin_pass();
+        let mut dropped = 0u32;
+        for (id, (witness_id, _)) in rec.dropped.iter().zip(&rec.drop_errors) {
+            assert_eq!(id, witness_id, "drop witnesses line up");
+            if custody.claim(*id, Swept::Dropped) {
+                continue;
+            }
+            dropped += 1;
+            let req = self
+                .by_session
+                .remove(id)
+                .expect("dropped sessions were tracked");
+            self.active.remove(&req);
+            custody.untracked(req, *id);
+        }
+        let mut parked = 0u32;
+        for &id in &rec.parked {
+            if !custody.claim(id, Swept::Parked) {
+                parked += 1;
+            }
+        }
+        let mut readmitted = 0u32;
+        for &id in &rec.readmitted {
+            if !custody.claim(id, Swept::Readmitted) {
+                readmitted += 1;
+            }
+        }
+        self.report.replacements += rec.replacements() as u32;
+        self.report.degraded += rec.degraded.len() as u32;
+        self.report.parked += parked;
+        self.report.readmitted += readmitted;
+        self.report.dropped += dropped;
+        let mut tail = format!(
+            "re-placed {} ({} degraded), parked {}, readmitted {}, dropped {}; affected {}/{}",
+            rec.replacements(),
+            rec.degraded.len(),
+            rec.parked.len(),
+            rec.readmitted.len(),
+            rec.dropped.len(),
+            rec.affected,
+            rec.considered,
+        );
+        for (id, err) in &rec.drop_errors {
+            let _ = write!(tail, "; {id} unplaceable ({err})");
+        }
+        tail
+    }
 }
 
-/// Applies one fault to the server, updating the bookkeeping and
-/// returning the log line describing what actually happened.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_fault(
-    server: &mut DomainServer,
-    fault: &TimedFault,
-    cfg: &FaultCampaignConfig,
-    down: &mut BTreeSet<usize>,
-    det: &mut DetectorState,
-    active: &mut BTreeMap<usize, SessionId>,
-    by_session: &mut BTreeMap<SessionId, usize>,
-    report: &mut FaultReport,
-) -> String {
-    let imperfect = !cfg.perfect_detection();
-    match fault.kind {
-        FaultKind::Crash { device } => {
-            // The schedule's up/down state machine ran in generation
-            // order; after time-sorting, a crash may arrive while the
-            // device is already down or is the last survivor. Skip those
-            // (logged), so the space never fully blacks out.
-            if down.contains(&device) {
-                return format!("fault   crash dev{device} -> skipped (already down)");
-            }
-            if down.len() + 1 >= cfg.devices {
-                return format!("fault   crash dev{device} -> skipped (last device up)");
-            }
-            report.crashes += 1;
-            down.insert(device);
-            if imperfect {
-                // Ground truth only: the detector learns nothing until
-                // the device's lease expires.
-                server.set_reachable(DeviceId::from_index(device), false);
-                det.unreachable_since.entry(device).or_insert(fault.at_h);
-                return format!("fault   crash dev{device} -> undetected (awaiting lease expiry)");
-            }
-            let rec = server.handle_crash(DeviceId::from_index(device));
-            count_pass(&rec, report);
-            let tail = absorb_recovery(&rec, active, by_session, report);
-            format!("fault   crash dev{device} -> {tail}")
-        }
-        FaultKind::CrashScope { first, count } => {
-            // Same skip rules as single crashes, applied member-wise, and
-            // the whole group shrinks (from the back) until a survivor
-            // remains outside it.
-            let mut members: Vec<usize> = (first..first + count)
-                .filter(|d| !down.contains(d))
-                .collect();
-            while !members.is_empty() && down.len() + members.len() >= cfg.devices {
-                members.pop();
-            }
-            if members.is_empty() {
-                return format!(
-                    "fault   crash-scope dev{first}+{count} -> skipped (no member can go down)"
-                );
-            }
-            report.crashes += members.len() as u32;
-            if members.len() >= 2 {
-                report.correlated_crashes += 1;
-            }
-            down.extend(members.iter().copied());
-            if imperfect {
-                for &d in &members {
-                    server.set_reachable(DeviceId::from_index(d), false);
-                    det.unreachable_since.entry(d).or_insert(fault.at_h);
-                }
-                let last = members.last().expect("non-empty");
-                return format!(
-                    "fault   crash-scope dev{first}..dev{last} ({} members) -> undetected (awaiting lease expiry)",
-                    members.len()
-                );
-            }
-            let ids: Vec<DeviceId> = members.iter().map(|&d| DeviceId::from_index(d)).collect();
-            let rec = server.handle_crash_many(&ids);
-            count_pass(&rec, report);
-            let tail = absorb_recovery(&rec, active, by_session, report);
-            let last = members.last().expect("non-empty");
-            format!(
-                "fault   crash-scope dev{first}..dev{last} ({} members) -> {tail}",
-                members.len()
-            )
-        }
-        FaultKind::Recover { device } => {
-            if !down.contains(&device) {
-                return format!("fault   recover dev{device} -> skipped (already up)");
-            }
-            report.device_recoveries += 1;
-            down.remove(&device);
-            if imperfect {
-                // Ground truth restored; if the crash was never even
-                // suspected (shorter than the grace window) the blip is
-                // tolerated invisibly, otherwise the next heartbeat
-                // renews the lease and reinstates the device.
-                if det.partition_depth[device] == 0 {
-                    server.set_reachable(DeviceId::from_index(device), true);
-                    det.unreachable_since.remove(&device);
-                }
-                return format!("fault   recover dev{device} -> reachable (awaiting heartbeat)");
-            }
-            let rec = server.recover_device(DeviceId::from_index(device));
-            count_pass(&rec, report);
-            let tail = absorb_recovery(&rec, active, by_session, report);
-            format!("fault   recover dev{device} -> {tail}")
-        }
-        FaultKind::Fluctuate { device, factor } => {
-            if down.contains(&device) {
-                return format!("fault   fluctuate dev{device} -> skipped (down)");
-            }
-            if server.is_suspected(DeviceId::from_index(device)) {
-                // A suspected device's capacity is held at zero by the
-                // detector; applying the fluctuation would overwrite it.
-                // Physically the fluctuation happens on the (healthy)
-                // device, but the domain server cannot observe it.
-                return format!("fault   fluctuate dev{device} -> skipped (suspected)");
-            }
-            report.fluctuations += 1;
-            let pristine = server
-                .pristine()
-                .device(device)
-                .expect("schedule device indexes the space")
-                .availability()
-                .clone();
-            let scaled = pristine
-                .scaled_by(&vec![factor; pristine.dim()])
-                .expect("factor vector matches dimension");
-            let rec = server.fluctuate(DeviceId::from_index(device), scaled);
-            count_pass(&rec, report);
-            let tail = absorb_recovery(&rec, active, by_session, report);
-            format!("fault   fluctuate dev{device} x{factor:.3} -> {tail}")
-        }
-        FaultKind::DegradeLink { a, b, factor } => {
-            if down.contains(&a) || down.contains(&b) {
-                return format!("fault   degrade-link dev{a}-dev{b} -> skipped (endpoint down)");
-            }
-            report.link_fluctuations += 1;
-            let mbps = server.pristine().bandwidth().get(a, b) * factor;
-            let rec = server.degrade_link(DeviceId::from_index(a), DeviceId::from_index(b), mbps);
-            count_pass(&rec, report);
-            let tail = absorb_recovery(&rec, active, by_session, report);
-            format!("fault   degrade-link dev{a}-dev{b} x{factor:.3} -> {tail}")
-        }
-        FaultKind::SwitchDevice { pick, to } => {
-            // Parked sessions stay tracked in `by_session` but have no
-            // live placement; portal switches only target live ones.
-            let ids: Vec<SessionId> = by_session
-                .keys()
-                .copied()
-                .filter(|&id| server.session(id).is_some())
-                .collect();
-            if ids.is_empty() {
-                return "fault   switch-device -> skipped (no live session)".to_owned();
-            }
-            let id = ids[(pick % ids.len() as u64) as usize];
-            report.switches += 1;
-            match server.switch_device(id, DeviceId::from_index(to)) {
-                Ok(plan) => format!(
-                    "fault   switch-device {id} -> dev{to} (resume at {:.4}s)",
-                    plan.resume_position_s()
-                ),
-                Err(e) => {
-                    report.switch_failures += 1;
-                    format!("fault   switch-device {id} -> dev{to} failed ({e}), old config kept")
-                }
-            }
-        }
-        FaultKind::MoveUser { pick, to } => {
-            let ids: Vec<SessionId> = by_session
-                .keys()
-                .copied()
-                .filter(|&id| server.session(id).is_some())
-                .collect();
-            if ids.is_empty() {
-                return "fault   move-user -> skipped (no live session)".to_owned();
-            }
-            let id = ids[(pick % ids.len() as u64) as usize];
-            report.moves += 1;
-            match server.move_user(id, None, DeviceId::from_index(to)) {
-                Ok(plan) => format!(
-                    "fault   move-user {id} -> dev{to} (resume at {:.4}s)",
-                    plan.resume_position_s()
-                ),
-                Err(e) => {
-                    report.move_failures += 1;
-                    format!("fault   move-user {id} -> dev{to} failed ({e}), old config kept")
-                }
-            }
-        }
-        FaultKind::Partition { first, count } => {
-            if !imperfect {
-                return format!(
-                    "fault   partition dev{first}+{count} -> skipped (perfect detection)"
-                );
-            }
-            report.partitions += 1;
-            let hi = (first + count).min(cfg.devices);
-            for d in first..hi {
-                det.partition_depth[d] += 1;
-                if det.partition_depth[d] == 1 && !down.contains(&d) {
-                    server.set_reachable(DeviceId::from_index(d), false);
-                    det.unreachable_since.entry(d).or_insert(fault.at_h);
-                }
-            }
-            format!(
-                "fault   partition dev{first}+{} -> cut off from the domain server",
-                hi - first
-            )
-        }
-        FaultKind::Heal { first, count } => {
-            if !imperfect {
-                return format!("fault   heal dev{first}+{count} -> skipped (perfect detection)");
-            }
-            report.heals += 1;
-            let hi = (first + count).min(cfg.devices);
-            for d in first..hi {
-                det.partition_depth[d] = det.partition_depth[d].saturating_sub(1);
-                if det.partition_depth[d] == 0 && !down.contains(&d) {
-                    server.set_reachable(DeviceId::from_index(d), true);
-                    det.unreachable_since.remove(&d);
-                }
-            }
-            format!(
-                "fault   heal dev{first}+{} -> rejoined (awaiting heartbeat)",
-                hi - first
-            )
-        }
-        FaultKind::JamHeartbeats { device, until_h } => {
-            if !imperfect {
-                return format!(
-                    "fault   jam-heartbeats dev{device} -> skipped (perfect detection)"
-                );
-            }
-            report.heartbeat_jams += 1;
-            det.jam_until_h[device] = det.jam_until_h[device].max(until_h);
-            format!("fault   jam-heartbeats dev{device} until t={until_h:010.4}h")
-        }
-        // Domain-server crashes only exist at the federation level; the
-        // serial harness runs the one immortal server these events
-        // cannot reach (the federated engine intercepts them before
-        // this dispatch).
-        FaultKind::ShardCrash { shard } => {
-            format!("fault   shard-crash shard{shard} -> skipped (serial harness)")
-        }
-        FaultKind::ShardRestart { shard } => {
-            format!("fault   shard-restart shard{shard} -> skipped (serial harness)")
-        }
+/// The log label of a portal switch (`false`) or a user move (`true`).
+pub(crate) fn move_label(is_move: bool) -> &'static str {
+    if is_move {
+        "move-user"
+    } else {
+        "switch-device"
     }
-}
-
-/// Folds a [`RecoveryReport`] into the campaign bookkeeping: successful
-/// re-placements (full-quality or degraded) count as replacements,
-/// parked sessions stay tracked (a later departure reaches them through
-/// `stop_session`), dropped ones leave the active maps. Every drop must
-/// carry its witnessing error (asserted here).
-pub(crate) fn absorb_recovery(
-    rec: &RecoveryReport,
-    active: &mut BTreeMap<usize, SessionId>,
-    by_session: &mut BTreeMap<SessionId, usize>,
-    report: &mut FaultReport,
-) -> String {
-    assert_eq!(
-        rec.dropped.len(),
-        rec.drop_errors.len(),
-        "every drop carries the error witnessing unplaceability"
-    );
-    for (id, (witness_id, _)) in rec.dropped.iter().zip(&rec.drop_errors) {
-        assert_eq!(id, witness_id, "drop witnesses line up");
-        let req = by_session
-            .remove(id)
-            .expect("dropped sessions were tracked");
-        active.remove(&req);
-    }
-    report.replacements += rec.replacements() as u32;
-    report.degraded += rec.degraded.len() as u32;
-    report.parked += rec.parked.len() as u32;
-    report.readmitted += rec.readmitted.len() as u32;
-    report.dropped += rec.dropped.len() as u32;
-    let mut tail = format!(
-        "re-placed {} ({} degraded), parked {}, readmitted {}, dropped {}; affected {}/{}",
-        rec.replacements(),
-        rec.degraded.len(),
-        rec.parked.len(),
-        rec.readmitted.len(),
-        rec.dropped.len(),
-        rec.affected,
-        rec.considered,
-    );
-    for (id, err) in &rec.drop_errors {
-        let _ = write!(tail, "; {id} unplaceable ({err})");
-    }
-    tail
-}
-
-/// Counts one recovery pass's O(affected)-vs-O(considered) work into the
-/// campaign report (fault arms only — the retry-queue drain is not a
-/// pass).
-pub(crate) fn count_pass(rec: &RecoveryReport, report: &mut FaultReport) {
-    report.recovery_passes += 1;
-    report.recovery_considered += rec.considered as u32;
-    report.recovery_affected += rec.affected as u32;
 }
 
 /// Sweeps every invariant over the server's current state. Returns the
@@ -1542,8 +1831,8 @@ mod tests {
     #[test]
     fn streamed_digest_matches_rendered_digest() {
         let mut log = EventLog::default();
-        log.push(0, 0.25, "arrive  req0");
-        log.push_args(1, 17.333333, format_args!("depart  req{} -> gone", 0));
+        log.push(0.25, "arrive  req0");
+        log.push_args(17.333333, format_args!("depart  req{} -> gone", 0));
         assert_eq!(log.digest(), fnv1a(log.render().as_bytes()));
         assert!(log.lines()[1].starts_with("[0001] t=00017.3333h "));
     }

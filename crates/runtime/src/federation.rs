@@ -1,5 +1,5 @@
 //! Sharded multi-domain federation: the fault-campaign harness scaled
-//! out over N [`DomainServer`] shards.
+//! out over N [`DomainServer`](crate::DomainServer) shards.
 //!
 //! PR 1-6 grew a single domain server that admits, degrades, parks,
 //! and recovers sessions under a deterministic fault schedule. This
@@ -9,6 +9,20 @@
 //! and the shards communicate *only* by typed message passing over a
 //! [`Transport`] (the in-process [`ChannelTransport`] here; a socket
 //! transport can slot in later without touching the protocol).
+//!
+//! ## N serial loops plus a message overlay
+//!
+//! Each shard is a [`faults::Shard`](crate::faults), the very
+//! per-domain campaign state the serial loop
+//! ([`run_fault_campaign_with`](crate::run_fault_campaign_with)) runs
+//! one of, and every per-domain arm — admission, departure, faults,
+//! heartbeats, lease sweeps, the per-event epilogue, and the end-of-run
+//! phase — is the same `Shard` method in both drivers. The engine here
+//! keeps only what is federation-specific: owner routing and
+//! global↔local index remapping, write-ahead journaling, the session
+//! directory and handoff-reservation custody (plugged into the shared
+//! recovery-pass absorb), discovery, handoff, transport, and crash
+//! recovery.
 //!
 //! ## Cross-domain discovery
 //!
@@ -79,34 +93,28 @@
 //! exact log bytes — of the perfect run, while the zero-loss path
 //! stays byte-identical to the bare [`ChannelTransport`].
 
-use crate::domain_server::{DomainServer, SessionId};
+use crate::domain_server::SessionId;
 use crate::durability::{
     assert_recovered_equal, DurabilityConfig, ServerCall, ShardWal, WalRecord,
 };
 use crate::faults::{
-    app_template, apply_fault, build_space, campaign_schedule, check_invariants, count_pass,
-    splitmix64, DetectorState, EventLog, FaultCampaignConfig, InvariantViolation,
+    app_template, campaign_schedule, draw_client, move_label, Admission, CampaignEvent, Custody,
+    EventLog, FaultCampaignConfig, InvariantViolation, Shard, Swept, Timeline,
 };
 use crate::profiler::StageTimes;
-use crate::recovery::RecoveryReport;
 use crate::retry_queue::RetryPolicy;
 use crate::transport::{
     ChannelTransport, Envelope, LossConfig, LossStats, LossyTransport, Transport,
 };
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write as _;
 use ubiqos::fault_report::fnv1a;
 use ubiqos::{ConfigureError, FaultReport};
-use ubiqos_composition::DegradationLadder;
 use ubiqos_discovery::{DiscoveryQuery, DomainId, ServiceRegistry};
 use ubiqos_graph::{AbstractServiceGraph, DeviceId};
 use ubiqos_model::QosVector;
 use ubiqos_sim::{
-    merge_schedules, EventQueue, FaultKind, MobilityWaveConfig, Request, ShardCrashPlan,
-    TimedFault, WorkloadConfig,
+    merge_schedules, EventQueue, FaultKind, MobilityWaveConfig, ShardCrashPlan, TimedFault,
 };
 
 /// Slack for "has this instant passed" comparisons on event times.
@@ -498,24 +506,26 @@ impl FederationOutcome {
 // Engine internals
 // ---------------------------------------------------------------------
 
-/// One event in the federated timeline. `Arrival`/`Departure`/`Fault`/
-/// `Heartbeat`/`LeaseCheck` are scheduled in the serial harness's exact
-/// setup order (so the 1-shard pop sequence is identical); `Decide`,
-/// `Expire`, and `Deliver` are federation overlays that only exist at
-/// `shards > 1`.
+/// One event in the federated timeline. The campaign events are
+/// scheduled by the shared [`Timeline`] in the serial loop's exact setup
+/// order (so the 1-shard pop sequence is identical), with devices
+/// numbered globally; `Decide`, `Expire`, and `Deliver` are federation
+/// overlays that only exist at `shards > 1`.
 #[derive(Debug, Clone, Copy)]
 enum FedEvent {
-    Arrival(usize),
-    Departure(usize),
-    Fault(usize),
-    Heartbeat(usize),
-    LeaseCheck(usize),
+    Campaign(CampaignEvent),
     /// Commit-or-abort decision for handoff `hid` on its source shard.
     Decide(u64),
     /// Reservation lease expiry for handoff `hid` on its destination.
     Expire(u64),
     /// A deferred message for `shard` becomes deliverable.
     Deliver(usize),
+}
+
+impl From<CampaignEvent> for FedEvent {
+    fn from(event: CampaignEvent) -> Self {
+        FedEvent::Campaign(event)
+    }
 }
 
 /// Net-layer events: physical arrivals and retransmission timers.
@@ -643,29 +653,10 @@ enum Loc {
     Gone { shard: usize },
 }
 
-/// One shard: a full serial-harness state bundle around its own
-/// `DomainServer`. Fields are crate-visible so the durability module
-/// can snapshot, replay, and fingerprint them.
-pub(crate) struct Shard {
-    pub(crate) server: DomainServer,
-    /// The base config with `devices` rewritten to this shard's size.
-    pub(crate) cfg: FaultCampaignConfig,
-    pub(crate) log: EventLog,
-    pub(crate) report: FaultReport,
-    pub(crate) down: BTreeSet<usize>,
-    pub(crate) det: DetectorState,
-    pub(crate) active: BTreeMap<usize, SessionId>,
-    pub(crate) by_session: BTreeMap<SessionId, usize>,
-    pub(crate) last_h: f64,
-    pub(crate) idx: usize,
-    pub(crate) iterations: u64,
-    pub(crate) last_sweep_h: Option<f64>,
-}
-
 struct Engine<'a> {
     cfg: &'a FederationConfig,
     schedule: Vec<TimedFault>,
-    trace: Vec<Request>,
+    tl: Timeline,
     shards: Vec<Shard>,
     /// Global index of each shard's first device.
     offsets: Vec<usize>,
@@ -673,9 +664,6 @@ struct Engine<'a> {
     /// Per shard: the other shards in domain-tree resolution order.
     candidates: Vec<Vec<usize>>,
     specialized: bool,
-    imperfect: bool,
-    grace_ms: f64,
-    hb_end_h: f64,
     queue: EventQueue<FedEvent>,
     /// Net-layer queue: physical arrivals and retransmission timers.
     netq: EventQueue<NetEvent>,
@@ -827,16 +815,12 @@ impl<'a> Engine<'a> {
         let mut shards = Vec::with_capacity(n);
         let mut candidates: Vec<Vec<usize>> = Vec::with_capacity(n);
         for (s, &size) in sizes.iter().enumerate() {
-            let mut server = build_space(size);
+            let mut shard = Shard::new(FaultCampaignConfig {
+                devices: size,
+                ..base.clone()
+            });
+            let server = &mut shard.server;
             server.set_shard_index(s);
-            let mut local = base.clone();
-            local.devices = size;
-            if !local.staged_recovery {
-                server.set_ladder(DegradationLadder::strict());
-                server.set_retry_policy(RetryPolicy::strict());
-            }
-            server.set_config_cache(local.config_cache);
-            server.set_placement_strategy(local.placement);
             let shard_domains = build_domain_tree(server.registry_mut(), n);
             if candidates.is_empty() {
                 // Same tree in every registry — compute the resolution
@@ -855,61 +839,14 @@ impl<'a> Engine<'a> {
             if specialized && s % 2 == 1 {
                 server.registry_mut().unregister("mpeg-source@space");
             }
-            shards.push(Shard {
-                server,
-                log: EventLog::default(),
-                report: FaultReport {
-                    seed: base.seed,
-                    ..FaultReport::default()
-                },
-                down: BTreeSet::new(),
-                det: DetectorState::new(size),
-                active: BTreeMap::new(),
-                by_session: BTreeMap::new(),
-                last_h: 0.0,
-                idx: 0,
-                iterations: 0,
-                last_sweep_h: None,
-                cfg: local,
-            });
+            shards.push(shard);
         }
 
-        let workload = WorkloadConfig::overload(base.requests, base.horizon_h);
-        let mut rng = StdRng::seed_from_u64(base.seed);
-        let trace = workload.generate(&mut rng);
-
-        let imperfect = !base.perfect_detection();
-        let grace_ms = base.detection_grace_h * 3_600_000.0;
-        let hb_steps = if imperfect {
-            assert!(
-                base.heartbeat_period_h > 0.0,
-                "imperfect detection needs a positive heartbeat period"
-            );
-            (base.horizon_h / base.heartbeat_period_h).floor() as usize
-        } else {
-            0
-        };
-        let hb_end_h = hb_steps as f64 * base.heartbeat_period_h;
-
-        // Exact serial setup order: arrival+departure per request,
-        // faults per schedule index, heartbeats device-major over the
-        // *global* device index. At one shard this makes the DES pop
-        // sequence identical to the reference.
+        // Heartbeats are scheduled over the *global* device index; at
+        // one shard this makes the DES pop sequence identical to the
+        // serial reference.
         let mut queue: EventQueue<FedEvent> = EventQueue::new();
-        for (i, r) in trace.iter().enumerate() {
-            queue.schedule(r.arrival_h, FedEvent::Arrival(i));
-            queue.schedule(r.departure_h(), FedEvent::Departure(i));
-        }
-        for (j, f) in schedule.iter().enumerate() {
-            queue.schedule(f.at_h, FedEvent::Fault(j));
-        }
-        if imperfect {
-            for d in 0..base.devices {
-                for k in 0..=hb_steps {
-                    queue.schedule(k as f64 * base.heartbeat_period_h, FedEvent::Heartbeat(d));
-                }
-            }
-        }
+        let tl = Timeline::seed(base, &schedule, &mut queue);
 
         let stats = FederationStats::new(n);
         // Initial checkpoints (virtual t=0) and the crash outage
@@ -941,15 +878,12 @@ impl<'a> Engine<'a> {
         Engine {
             cfg,
             schedule,
-            trace,
+            tl,
             shards,
             offsets,
             sizes,
             candidates,
             specialized,
-            imperfect,
-            grace_ms,
-            hb_end_h,
             queue,
             netq: EventQueue::new(),
             transport,
@@ -980,21 +914,6 @@ impl<'a> Engine<'a> {
             .any(|&(cs, from, to)| cs == s && t >= from && t < to)
     }
 
-    /// Journals an event-boundary `Mark` for shard `s`: the full
-    /// counter report plus the epilogue cursors, so replay lands
-    /// exactly on the current aggregate state.
-    fn wal_mark(&mut self, s: usize) {
-        if !self.cfg.durability.enabled {
-            return;
-        }
-        let shard = &self.shards[s];
-        self.wals[s].push(WalRecord::Mark {
-            report: Box::new(shard.report.clone()),
-            iterations: shard.iterations,
-            last_sweep_h: shard.last_sweep_h,
-        });
-    }
-
     /// The shard owning global device `g`.
     fn owner(&self, g: usize) -> usize {
         debug_assert!(g < self.cfg.base.devices, "global device in range");
@@ -1004,29 +923,26 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Advances shard `s`'s virtual clock to `at_h` (monotone, exactly
-    /// the serial `play` step). Journaled before the clock moves.
+    /// Advances shard `s`'s virtual clock to `at_h`. Journaled before
+    /// the clock moves.
     fn advance(&mut self, s: usize, at_h: f64) {
         self.wals[s].push(WalRecord::Advance { at_h });
-        let shard = &mut self.shards[s];
-        let delta_h = (at_h - shard.last_h).max(0.0);
-        shard.server.play(delta_h * 3600.0);
-        shard.last_h = at_h;
+        self.shards[s].advance(at_h);
     }
 
-    /// Appends one line to shard `s`'s log. Journaled before the push
-    /// (the line index is implicit in record order).
-    fn slog(&mut self, s: usize, at_h: f64, line: &str) {
-        if self.cfg.durability.enabled {
-            self.wals[s].push(WalRecord::Line {
-                at_h,
-                line: line.to_owned(),
-            });
-        }
-        let shard = &mut self.shards[s];
-        let idx = shard.idx;
-        shard.log.push(idx, at_h, line);
-        shard.idx += 1;
+    /// The recovery-pass custody of shard `s`: handoff reservations,
+    /// directory upkeep, and the untracked ids the WAL records.
+    fn custody(&mut self, s: usize) -> (&mut Shard, FedCustody<'_>) {
+        (
+            &mut self.shards[s],
+            FedCustody {
+                s,
+                directory: &mut self.directory,
+                handoffs: &mut self.handoffs,
+                res_index: &mut self.res_index,
+                removed: Vec::new(),
+            },
+        )
     }
 
     /// Whether shard `s` is reachable (no partition window covers `t`).
@@ -1383,11 +1299,13 @@ impl<'a> Engine<'a> {
         debug_assert!(self.turn.is_none(), "turns are strictly sequential");
         let mut touched: BTreeSet<usize> = BTreeSet::new();
         match event {
-            FedEvent::Arrival(i) => self.on_arrival(i, at_h, &mut touched),
-            FedEvent::Departure(i) => self.on_departure(i, at_h, &mut touched),
-            FedEvent::Fault(j) => self.on_fault(j, at_h, &mut touched),
-            FedEvent::Heartbeat(g) => self.on_heartbeat(g, at_h, &mut touched),
-            FedEvent::LeaseCheck(g) => self.on_lease_check(g, at_h, &mut touched),
+            FedEvent::Campaign(event) => match event {
+                CampaignEvent::Arrival(i) => self.on_arrival(i, at_h, &mut touched),
+                CampaignEvent::Departure(i) => self.on_departure(i, at_h, &mut touched),
+                CampaignEvent::Fault(j) => self.on_fault(j, at_h, &mut touched),
+                CampaignEvent::Heartbeat(g) => self.on_heartbeat(g, at_h, &mut touched),
+                CampaignEvent::LeaseCheck(g) => self.on_lease_check(g, at_h, &mut touched),
+            },
             FedEvent::Decide(hid) => self.on_decide(hid, at_h, &mut touched),
             FedEvent::Expire(hid) => self.on_expire(hid, at_h, &mut touched),
             FedEvent::Deliver(to) => {
@@ -1450,116 +1368,91 @@ impl<'a> Engine<'a> {
     /// list, admission on the owner shard, cross-domain forwarding
     /// when a specialized registry lacks the service type.
     fn on_arrival(&mut self, i: usize, at_h: f64, touched: &mut BTreeSet<usize>) {
-        let req = self.trace[i];
+        let graph_index = self.tl.trace[i].graph_index;
         let mut up: Vec<usize> = Vec::new();
         for (s, sh) in self.shards.iter().enumerate() {
-            let off = self.offsets[s];
-            up.extend(
-                (0..self.sizes[s])
-                    .filter(|d| !sh.down.contains(d))
-                    .map(|d| off + d),
-            );
+            sh.extend_up(self.offsets[s], &mut up);
         }
-        let client = up[(splitmix64(self.cfg.base.seed ^ i as u64) % up.len() as u64) as usize];
+        let client = draw_client(self.cfg.base.seed, i, &up);
         let a = self.owner(client);
-        let client_local = client - self.offsets[a];
         self.advance(a, at_h);
         touched.insert(a);
         self.shards[a].report.events += 1;
-        let (name, graph) = app_template(req.graph_index);
-        if self.cfg.durability.enabled {
-            self.wals[a].push(WalRecord::Call(ServerCall::Start {
+        let client_local = client - self.offsets[a];
+        let Some(e) = self.admit(a, i, graph_index, client_local, client, "", at_h) else {
+            return;
+        };
+        // Cross-domain resolution: only for composition failures on a
+        // specialized, reachable shard. The probe chain runs as
+        // asynchronous message round trips; every leg connects two
+        // mutually-reachable shards, so the whole chain resolves inside
+        // this arrival's turn and the deny below is the only synchronous
+        // fallback (nothing probe-able at all).
+        let forwardable = self.specialized
+            && matches!(e, ConfigureError::Composition(_))
+            && self.reachable_shard(a, at_h);
+        if !forwardable || !self.start_discovery(a, i, graph_index, client, at_h, &e) {
+            self.directory.insert(i, Loc::Gone { shard: a });
+            self.shards[a].deny_arrival(i, graph_index, client, "", &e, at_h);
+        }
+    }
+
+    /// One journaled admission attempt for request `i` on shard `s`
+    /// (its home or a forwarding target): an admission or a stale-view
+    /// park is tracked, logged, and entered in the directory; any other
+    /// refusal is returned unbooked, for the caller to deny or forward.
+    #[allow(clippy::too_many_arguments)]
+    fn admit(
+        &mut self,
+        s: usize,
+        i: usize,
+        graph_index: usize,
+        client_local: usize,
+        client: usize,
+        via: &str,
+        at_h: f64,
+    ) -> Option<ConfigureError> {
+        let journal = self.cfg.durability.enabled;
+        if journal {
+            let (name, graph) = app_template(graph_index);
+            self.wals[s].push(WalRecord::Call(ServerCall::Start {
                 name: format!("{name}-{i}"),
-                graph: graph.clone(),
+                graph,
                 qos: QosVector::new(),
                 client_local,
             }));
         }
-        let outcome = self.shards[a].server.start_session(
-            format!("{name}-{i}"),
-            graph,
-            QosVector::new(),
-            DeviceId::from_index(client_local),
-        );
-        match outcome {
-            Ok(id) => {
-                let shard = &mut self.shards[a];
-                shard.report.arrivals += 1;
-                shard.report.admitted += 1;
-                shard.active.insert(i, id);
-                shard.by_session.insert(id, i);
-                self.wals[a].push(WalRecord::Track {
-                    req: i,
-                    sid: id.raw(),
-                });
-                self.directory.insert(i, Loc::At { shard: a, id });
-                self.slog(
-                    a,
-                    at_h,
-                    &format!("arrive  req{i} {name} client=dev{client} -> admitted as {id}"),
-                );
-            }
-            Err(e) if matches!(e, ConfigureError::StaleView { .. }) => {
-                let (_, graph) = app_template(req.graph_index);
-                if self.cfg.durability.enabled {
-                    self.wals[a].push(WalRecord::Call(ServerCall::Park {
-                        name: format!("{name}-{i}"),
-                        graph: graph.clone(),
-                        qos: QosVector::new(),
-                        client_local,
-                        err: e.clone(),
-                    }));
-                }
-                let shard = &mut self.shards[a];
-                shard.report.arrivals += 1;
-                shard.report.admitted += 1;
-                shard.report.parked += 1;
-                let id = shard.server.park_arrival(
-                    format!("{name}-{i}"),
+        let outcome = self.shards[s].start(i, graph_index, client_local);
+        if let Err(err @ ConfigureError::StaleView { .. }) = &outcome {
+            if journal {
+                let (name, graph) = app_template(graph_index);
+                self.wals[s].push(WalRecord::Call(ServerCall::Park {
+                    name: format!("{name}-{i}"),
                     graph,
-                    QosVector::new(),
-                    DeviceId::from_index(client_local),
-                    None,
-                    e,
-                );
-                shard.active.insert(i, id);
-                shard.by_session.insert(id, i);
-                self.wals[a].push(WalRecord::Track {
+                    qos: QosVector::new(),
+                    client_local,
+                    err: err.clone(),
+                }));
+            }
+        }
+        match self.shards[s].settle_arrival(
+            i,
+            graph_index,
+            client_local,
+            client,
+            via,
+            outcome,
+            at_h,
+        ) {
+            Admission::Admitted(id) | Admission::Parked(id) => {
+                self.wals[s].push(WalRecord::Track {
                     req: i,
                     sid: id.raw(),
                 });
-                self.directory.insert(i, Loc::At { shard: a, id });
-                self.slog(
-                    a,
-                    at_h,
-                    &format!(
-                        "arrive  req{i} {name} client=dev{client} -> parked on stale view as {id}"
-                    ),
-                );
+                self.directory.insert(i, Loc::At { shard: s, id });
+                None
             }
-            Err(e) => {
-                // Cross-domain resolution: only for composition
-                // failures on a specialized, reachable shard. The
-                // probe chain runs as asynchronous message round
-                // trips; every leg connects two mutually-reachable
-                // shards, so the whole chain resolves inside this
-                // arrival's turn and the deny below is the only
-                // synchronous fallback (nothing probe-able at all).
-                let forwardable = self.specialized
-                    && matches!(e, ConfigureError::Composition(_))
-                    && self.reachable_shard(a, at_h);
-                if !forwardable || !self.start_discovery(a, i, req.graph_index, client, at_h, &e) {
-                    let shard = &mut self.shards[a];
-                    shard.report.arrivals += 1;
-                    shard.report.denied += 1;
-                    self.directory.insert(i, Loc::Gone { shard: a });
-                    self.slog(
-                        a,
-                        at_h,
-                        &format!("arrive  req{i} {name} client=dev{client} -> denied ({e})"),
-                    );
-                }
-            }
+            Admission::Refused(e) => Some(e),
         }
     }
 
@@ -1663,32 +1556,23 @@ impl<'a> Engine<'a> {
             .remove(&req)
             .expect("a DiscoverFound reply always has a parked continuation");
         debug_assert_eq!(st.origin, a, "the reply returns to the probing shard");
-        let (name, _) = app_template(st.graph_index);
         let client = st.client;
         if found {
+            let (name, _) = app_template(st.graph_index);
             let probe = probe_type(st.graph_index);
             self.stats.forwarded += 1;
             self.stats.forwarded_out[a] += 1;
             self.stats.forwarded_in[b] += 1;
-            self.slog(
-                a,
+            self.shards[a].log.push_args(
                 at_h,
-                &format!(
+                format_args!(
                     "arrive  req{req} {name} client=dev{client} -> forwarded to shard{b} (no local {probe})"
                 ),
             );
             self.admit_forwarded(req, st.graph_index, a, b, at_h, touched);
         } else if let Some(st) = self.probe_next(req, st, at_h) {
-            let err = st.err;
-            let shard = &mut self.shards[a];
-            shard.report.arrivals += 1;
-            shard.report.denied += 1;
             self.directory.insert(req, Loc::Gone { shard: a });
-            self.slog(
-                a,
-                at_h,
-                &format!("arrive  req{req} {name} client=dev{client} -> denied ({err})"),
-            );
+            self.shards[a].deny_arrival(req, st.graph_index, client, "", &st.err, at_h);
         }
     }
 
@@ -1706,110 +1590,28 @@ impl<'a> Engine<'a> {
     ) {
         self.advance(b, at_h);
         touched.insert(b);
-        let b_up: Vec<usize> = (0..self.sizes[b])
-            .filter(|d| !self.shards[b].down.contains(d))
-            .collect();
+        let mut b_up: Vec<usize> = Vec::new();
+        self.shards[b].extend_up(0, &mut b_up);
         debug_assert!(!b_up.is_empty(), "per-shard crash skips keep one device up");
-        let client_local =
-            b_up[(splitmix64(self.cfg.base.seed ^ i as u64) % b_up.len() as u64) as usize];
+        let client_local = draw_client(self.cfg.base.seed, i, &b_up);
         let client = self.offsets[b] + client_local;
-        let (name, graph) = app_template(graph_index);
-        if self.cfg.durability.enabled {
-            self.wals[b].push(WalRecord::Call(ServerCall::Start {
-                name: format!("{name}-{i}"),
-                graph: graph.clone(),
-                qos: QosVector::new(),
-                client_local,
-            }));
-        }
-        let outcome = self.shards[b].server.start_session(
-            format!("{name}-{i}"),
-            graph,
-            QosVector::new(),
-            DeviceId::from_index(client_local),
-        );
-        match outcome {
-            Ok(id) => {
-                let shard = &mut self.shards[b];
-                shard.report.arrivals += 1;
-                shard.report.admitted += 1;
-                shard.active.insert(i, id);
-                shard.by_session.insert(id, i);
-                self.wals[b].push(WalRecord::Track {
-                    req: i,
-                    sid: id.raw(),
-                });
-                self.directory.insert(i, Loc::At { shard: b, id });
-                self.slog(
-                    b,
-                    at_h,
-                    &format!(
-                        "arrive  req{i} {name} client=dev{client} via shard{a} -> admitted as {id}"
-                    ),
-                );
-            }
-            Err(e) if matches!(e, ConfigureError::StaleView { .. }) => {
-                let (_, graph) = app_template(graph_index);
-                if self.cfg.durability.enabled {
-                    self.wals[b].push(WalRecord::Call(ServerCall::Park {
-                        name: format!("{name}-{i}"),
-                        graph: graph.clone(),
-                        qos: QosVector::new(),
-                        client_local,
-                        err: e.clone(),
-                    }));
-                }
-                let shard = &mut self.shards[b];
-                shard.report.arrivals += 1;
-                shard.report.admitted += 1;
-                shard.report.parked += 1;
-                let id = shard.server.park_arrival(
-                    format!("{name}-{i}"),
-                    graph,
-                    QosVector::new(),
-                    DeviceId::from_index(client_local),
-                    None,
-                    e,
-                );
-                shard.active.insert(i, id);
-                shard.by_session.insert(id, i);
-                self.wals[b].push(WalRecord::Track {
-                    req: i,
-                    sid: id.raw(),
-                });
-                self.directory.insert(i, Loc::At { shard: b, id });
-                self.slog(
-                    b,
-                    at_h,
-                    &format!(
-                        "arrive  req{i} {name} client=dev{client} via shard{a} -> parked on stale view as {id}"
-                    ),
-                );
-            }
-            Err(e) => {
-                let shard = &mut self.shards[b];
-                shard.report.arrivals += 1;
-                shard.report.denied += 1;
-                self.directory.insert(i, Loc::Gone { shard: b });
-                self.slog(
-                    b,
-                    at_h,
-                    &format!(
-                        "arrive  req{i} {name} client=dev{client} via shard{a} -> denied ({e})"
-                    ),
-                );
-            }
+        let via = format!(" via shard{a}");
+        if let Some(e) = self.admit(b, i, graph_index, client_local, client, &via, at_h) {
+            self.directory.insert(i, Loc::Gone { shard: b });
+            self.shards[b].deny_arrival(i, graph_index, client, &via, &e, at_h);
         }
     }
 
     /// Routes a departure through the directory to the owning shard
-    /// (serial arm verbatim); a mid-handoff departure is deferred to
-    /// the commit.
+    /// (the serial arm); a mid-handoff departure is deferred to the
+    /// commit.
     fn on_departure(&mut self, i: usize, at_h: f64, touched: &mut BTreeSet<usize>) {
-        let s = match self.directory.get(&i) {
-            Some(Loc::At { shard, .. }) | Some(Loc::Gone { shard }) => *shard,
-            Some(Loc::InFlight { hid }) => {
-                let hid = *hid;
+        let loc = *self.directory.get(&i).expect(
+            "every arrival writes its directory entry within its own turn, before its departure",
+        );
+        let s = match loc {
+            Loc::At { shard, .. } | Loc::Gone { shard } => shard,
+            Loc::InFlight { hid } => {
                 let a = self.handoffs[&hid].source;
                 self.advance(a, at_h);
                 touched.insert(a);
@@ -1818,38 +1620,22 @@ impl<'a> Engine<'a> {
                     .get_mut(&hid)
                     .expect("tracked handoff")
                     .departed = true;
-                self.slog(
-                    a,
+                self.shards[a].log.push_args(
                     at_h,
-                    &format!("depart  req{i} -> in flight (h{hid}, deferred to commit)"),
+                    format_args!("depart  req{i} -> in flight (h{hid}, deferred to commit)"),
                 );
                 return;
             }
-            // Denied-before-tracking can't happen (every arrival sets
-            // the directory), but route defensively to the home shard.
-            None => 0,
         };
         self.advance(s, at_h);
         touched.insert(s);
-        let shard = &mut self.shards[s];
-        shard.report.events += 1;
-        match shard.active.remove(&i) {
-            Some(id) => {
-                shard.by_session.remove(&id);
-                let stopped = shard.server.stop_session(id);
-                debug_assert!(stopped.is_some(), "active map tracks live sessions");
-                shard.report.completed += 1;
-                self.wals[s].push(WalRecord::Untrack {
-                    req: i,
-                    sid: id.raw(),
-                });
-                self.wals[s].push(WalRecord::Call(ServerCall::Stop { sid: id.raw() }));
-                self.directory.insert(i, Loc::Gone { shard: s });
-                self.slog(s, at_h, &format!("depart  req{i} -> completed ({id})"));
-            }
-            None => {
-                self.slog(s, at_h, &format!("depart  req{i} -> already gone"));
-            }
+        if let Some(id) = self.shards[s].depart(i, at_h) {
+            self.wals[s].push(WalRecord::Untrack {
+                req: i,
+                sid: id.raw(),
+            });
+            self.wals[s].push(WalRecord::Call(ServerCall::Stop { sid: id.raw() }));
+            self.directory.insert(i, Loc::Gone { shard: s });
         }
     }
 
@@ -1917,10 +1703,9 @@ impl<'a> Engine<'a> {
                     self.advance(s, at_h);
                     touched.insert(s);
                     self.shards[s].report.events += 1;
-                    self.slog(
-                        s,
+                    self.shards[s].log.push_args(
                         at_h,
-                        &format!(
+                        format_args!(
                             "fault   degrade-link dev{a}-dev{b} -> skipped (cross-shard link)"
                         ),
                     );
@@ -1995,9 +1780,9 @@ impl<'a> Engine<'a> {
         // Counters first, so the crash-boundary `Mark` (and therefore
         // the rebuilt report) already carries this crash.
         self.shards[s].report.shard_crashes += 1;
-        self.wal_mark(s);
+        self.wals[s].mark(&self.shards[s]);
         let replayed = self.wals[s].tail.len() as u64;
-        let rebuilt = self.wals[s].recover(self.grace_ms);
+        let rebuilt = self.wals[s].recover(self.tl.grace_ms);
         assert_recovered_equal(&self.shards[s], &rebuilt, s);
         self.shards[s] = rebuilt;
         self.shards[s].report.wal_replayed += replayed as u32;
@@ -2023,19 +1808,7 @@ impl<'a> Engine<'a> {
         self.advance(s, at_h);
         touched.insert(s);
         self.wals[s].push(WalRecord::Fault(fault));
-        let shard = &mut self.shards[s];
-        shard.report.events += 1;
-        let line = apply_fault(
-            &mut shard.server,
-            &fault,
-            &shard.cfg,
-            &mut shard.down,
-            &mut shard.det,
-            &mut shard.active,
-            &mut shard.by_session,
-            &mut shard.report,
-        );
-        self.slog(s, at_h, &line);
+        self.shards[s].fault(&fault, at_h);
     }
 
     /// The `move-user` / `switch-device` arm over the federated
@@ -2050,30 +1823,19 @@ impl<'a> Engine<'a> {
         at_h: f64,
         touched: &mut BTreeSet<usize>,
     ) {
-        let label = if is_move {
-            "move-user"
-        } else {
-            "switch-device"
-        };
+        let label = move_label(is_move);
         let mut ids: Vec<(usize, SessionId)> = Vec::new();
         for (s, sh) in self.shards.iter().enumerate() {
-            ids.extend(
-                sh.by_session
-                    .keys()
-                    .copied()
-                    .filter(|&id| sh.server.session(id).is_some())
-                    .map(|id| (s, id)),
-            );
+            ids.extend(sh.live_sessions().map(|id| (s, id)));
         }
         if ids.is_empty() {
             let s = self.owner(to);
             self.advance(s, at_h);
             touched.insert(s);
             self.shards[s].report.events += 1;
-            self.slog(
-                s,
+            self.shards[s].log.push_args(
                 at_h,
-                &format!("fault   {label} -> skipped (no live session)"),
+                format_args!("fault   {label} -> skipped (no live session)"),
             );
             return;
         }
@@ -2087,10 +1849,9 @@ impl<'a> Engine<'a> {
                 && h.sid == id
                 && !matches!(h.state, HandoffState::Committed | HandoffState::Aborted)
         }) {
-            self.slog(
-                a,
+            self.shards[a].log.push_args(
                 at_h,
-                &format!("fault   {label} {id} -> skipped (handoff in progress)"),
+                format_args!("fault   {label} {id} -> skipped (handoff in progress)"),
             );
             return;
         }
@@ -2112,36 +1873,8 @@ impl<'a> Engine<'a> {
                 };
                 self.wals[a].push(WalRecord::Call(call));
             }
-            let shard = &mut self.shards[a];
-            if is_move {
-                shard.report.moves += 1;
-            } else {
-                shard.report.switches += 1;
-            }
-            let result = if is_move {
-                shard
-                    .server
-                    .move_user(id, None, DeviceId::from_index(local_to))
-            } else {
-                shard
-                    .server
-                    .switch_device(id, DeviceId::from_index(local_to))
-            };
-            let line = match result {
-                Ok(plan) => format!(
-                    "fault   {label} {id} -> dev{to} (resume at {:.4}s)",
-                    plan.resume_position_s()
-                ),
-                Err(e) => {
-                    if is_move {
-                        shard.report.move_failures += 1;
-                    } else {
-                        shard.report.switch_failures += 1;
-                    }
-                    format!("fault   {label} {id} -> dev{to} failed ({e}), old config kept")
-                }
-            };
-            self.slog(a, at_h, &line);
+            let line = self.shards[a].relocate(id, is_move, local_to, to);
+            self.shards[a].log.push(at_h, &line);
         } else {
             self.initiate_handoff(a, b, id, to, is_move, at_h);
         }
@@ -2157,11 +1890,7 @@ impl<'a> Engine<'a> {
         is_move: bool,
         at_h: f64,
     ) {
-        let label = if is_move {
-            "move-user"
-        } else {
-            "switch-device"
-        };
+        let label = move_label(is_move);
         {
             let report = &mut self.shards[a].report;
             if is_move {
@@ -2220,13 +1949,9 @@ impl<'a> Engine<'a> {
                 sid: pid.raw(),
             });
             self.directory.insert(req, Loc::At { shard: a, id: pid });
-            self.slog(
-                a,
-                at_h,
-                &format!(
+            self.shards[a].log.push_args(at_h, format_args!(
                     "fault   {label} {id} -> dev{to_global}@shard{b} parked (destination suspected) as {pid}"
-                ),
-            );
+                ));
             return;
         }
         let hid = self.next_hid;
@@ -2254,13 +1979,9 @@ impl<'a> Engine<'a> {
         self.send(a, b, at_h, FederationMsg::Reserve { hid });
         let decide_h = at_h + self.cfg.commit_lag_h;
         self.queue.schedule(decide_h, FedEvent::Decide(hid));
-        self.slog(
-            a,
-            at_h,
-            &format!(
+        self.shards[a].log.push_args(at_h, format_args!(
                 "fault   {label} {id} -> dev{to_global}@shard{b} reserving (h{hid}, decide at t={decide_h:.4}h)"
-            ),
-        );
+            ));
     }
 
     /// The commit-or-abort decision on the source shard,
@@ -2274,10 +1995,9 @@ impl<'a> Engine<'a> {
         touched.insert(a);
         match state {
             HandoffState::Committed | HandoffState::Aborted => {
-                self.slog(
-                    a,
+                self.shards[a].log.push_args(
                     at_h,
-                    &format!("handoff h{hid} decide -> already resolved"),
+                    format_args!("handoff h{hid} decide -> already resolved"),
                 );
             }
             HandoffState::Reserving | HandoffState::Reserved => {
@@ -2323,13 +2043,9 @@ impl<'a> Engine<'a> {
                     self.stats.handoffs_committed += 1;
                     self.directory.insert(req, Loc::InFlight { hid });
                     self.send(a, b, at_h, FederationMsg::Commit { hid });
-                    self.slog(
-                        a,
-                        at_h,
-                        &format!(
+                    self.shards[a].log.push_args(at_h, format_args!(
                             "handoff h{hid} decide -> commit ({sid} released from shard{a}, in flight to shard{b})"
-                        ),
-                    );
+                        ));
                 }
             }
         }
@@ -2365,7 +2081,7 @@ impl<'a> Engine<'a> {
             format!("handoff h{hid} decide -> abort ({reason})")
         };
         self.send(a, b, at_h, FederationMsg::Abort { hid });
-        self.slog(a, at_h, &line);
+        self.shards[a].log.push(at_h, &line);
     }
 
     /// Reservation lease expiry on the destination: a reservation not
@@ -2390,10 +2106,9 @@ impl<'a> Engine<'a> {
                 self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Expired;
                 self.stats.reservation_expiries += 1;
                 let witness = ConfigureError::StaleView { device: to_global };
-                self.slog(
-                    b,
+                self.shards[b].log.push_args(
                     at_h,
-                    &format!(
+                    format_args!(
                         "handoff h{hid} reservation lease expired -> {rid} released ({witness})"
                     ),
                 );
@@ -2405,89 +2120,45 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Serial heartbeat arm, routed to the owner shard.
+    /// The shared heartbeat arm, routed to the owner shard.
     fn on_heartbeat(&mut self, g: usize, at_h: f64, touched: &mut BTreeSet<usize>) {
         let s = self.owner(g);
         let d = g - self.offsets[s];
         self.advance(s, at_h);
         touched.insert(s);
-        let shard = &mut self.shards[s];
-        let lost = shard.down.contains(&d)
-            || shard.det.partition_depth[d] > 0
-            || at_h < shard.det.jam_until_h[d];
-        if !lost {
-            // Journal the heartbeat even when it reinstates nothing: the
-            // call renews the device lease inside the server, and replay
-            // must renew it too or a later sweep would diverge.
-            if let Some(rec) = shard
-                .server
-                .heartbeat(DeviceId::from_index(d), self.grace_ms)
-            {
-                shard.report.reinstatements += 1;
-                count_pass(&rec, &mut shard.report);
-                let (tail, removed) = self.absorb(s, &rec);
-                self.wals[s].push(WalRecord::Call(ServerCall::Heartbeat {
-                    device: d,
-                    removed,
-                }));
-                self.slog(
-                    s,
-                    at_h,
-                    &format!("detect  reinstate dev{d} (lease renewed) -> {tail}"),
-                );
-            } else {
-                self.wals[s].push(WalRecord::Call(ServerCall::Heartbeat {
-                    device: d,
-                    removed: Vec::new(),
-                }));
-            }
-            self.queue.schedule(
-                at_h + self.cfg.base.detection_grace_h,
-                FedEvent::LeaseCheck(g),
-            );
+        let grace_ms = self.tl.grace_ms;
+        let (shard, mut custody) = self.custody(s);
+        if shard.heartbeat(d, at_h, grace_ms, &mut custody).is_none() {
+            return;
         }
+        // Journal the heartbeat even when it reinstates nothing: the
+        // call renews the device lease inside the server, and replay
+        // must renew it too or a later sweep would diverge.
+        let removed = custody.removed.pop().unwrap_or_default();
+        self.wals[s].push(WalRecord::Call(ServerCall::Heartbeat {
+            device: d,
+            removed,
+        }));
+        self.queue.schedule(
+            at_h + self.cfg.base.detection_grace_h,
+            CampaignEvent::LeaseCheck(g).into(),
+        );
     }
 
-    /// Serial lease-check arm (anti-entropy sweep), routed to the
-    /// owner shard. Per-shard sweep hoisting: same-instant checks on
-    /// one shard share a single sweep.
+    /// The shared lease-check arm (anti-entropy sweep), routed to the
+    /// owner shard, so sweep hoisting is per shard.
     fn on_lease_check(&mut self, g: usize, at_h: f64, touched: &mut BTreeSet<usize>) {
         let s = self.owner(g);
         self.advance(s, at_h);
         touched.insert(s);
-        if at_h > self.hb_end_h + 1e-9 {
-            return;
+        let hb_end_h = self.tl.hb_end_h;
+        let (shard, mut custody) = self.custody(s);
+        if shard.lease_check(at_h, hb_end_h, &mut custody).is_some() {
+            // One record per sweep, even an empty one: the sweep
+            // advances detector bookkeeping inside the server.
+            let removed = custody.removed;
+            self.wals[s].push(WalRecord::Call(ServerCall::ExpireLeases { removed }));
         }
-        if self.shards[s].last_sweep_h == Some(at_h) {
-            return;
-        }
-        self.shards[s].last_sweep_h = Some(at_h);
-        let mut removed_per_item: Vec<Vec<u64>> = Vec::new();
-        for (device, rec) in self.shards[s].server.expire_overdue_leases() {
-            let shard = &mut self.shards[s];
-            shard.report.suspicions += 1;
-            let ground_up = !shard.down.contains(&device.index());
-            if ground_up {
-                shard.report.false_suspected += 1;
-            }
-            count_pass(&rec, &mut shard.report);
-            let (tail, removed) = self.absorb(s, &rec);
-            removed_per_item.push(removed);
-            let tag = if ground_up { " (falsely)" } else { "" };
-            self.slog(
-                s,
-                at_h,
-                &format!(
-                    "detect  suspect dev{}{tag} (lease expired) -> {tail}",
-                    device.index()
-                ),
-            );
-        }
-        // One record per sweep, even an empty one: the sweep advances
-        // detector bookkeeping inside the server.
-        self.wals[s].push(WalRecord::Call(ServerCall::ExpireLeases {
-            removed: removed_per_item,
-        }));
     }
 
     /// Processes one delivered message on its destination shard. The
@@ -2550,10 +2221,9 @@ impl<'a> Engine<'a> {
                 };
                 if state == HandoffState::Aborted {
                     self.handoffs.get_mut(&hid).expect("tracked").reservation = Reservation::Done;
-                    self.slog(
-                        b,
+                    self.shards[b].log.push_args(
                         at_h,
-                        &format!("fedmsg  h{hid} reserve -> declined (handoff aborted)"),
+                        format_args!("fedmsg  h{hid} reserve -> declined (handoff aborted)"),
                     );
                     return;
                 }
@@ -2578,13 +2248,9 @@ impl<'a> Engine<'a> {
                         let expire_h = at_h + self.cfg.reserve_grace_h;
                         self.queue.schedule(expire_h, FedEvent::Expire(hid));
                         self.send(b, env.from, at_h, FederationMsg::ReserveOk { hid });
-                        self.slog(
-                            b,
-                            at_h,
-                            &format!(
+                        self.shards[b].log.push_args(at_h, format_args!(
                                 "fedmsg  h{hid} reserve dev{client_local} -> held as {rid} (lease until t={expire_h:.4}h)"
-                            ),
-                        );
+                            ));
                     }
                     Err(e) => {
                         self.handoffs.get_mut(&hid).expect("tracked").reservation =
@@ -2598,10 +2264,11 @@ impl<'a> Engine<'a> {
                                 error: format!("{e}"),
                             },
                         );
-                        self.slog(
-                            b,
+                        self.shards[b].log.push_args(
                             at_h,
-                            &format!("fedmsg  h{hid} reserve dev{client_local} -> declined ({e})"),
+                            format_args!(
+                                "fedmsg  h{hid} reserve dev{client_local} -> declined ({e})"
+                            ),
                         );
                     }
                 }
@@ -2613,12 +2280,13 @@ impl<'a> Engine<'a> {
                 let h = self.handoffs.get_mut(&hid).expect("tracked");
                 if h.state == HandoffState::Reserving {
                     h.state = HandoffState::Reserved;
-                    self.slog(a, at_h, &format!("fedmsg  h{hid} reserve-ok -> reserved"));
+                    self.shards[a]
+                        .log
+                        .push_args(at_h, format_args!("fedmsg  h{hid} reserve-ok -> reserved"));
                 } else {
-                    self.slog(
-                        a,
+                    self.shards[a].log.push_args(
                         at_h,
-                        &format!("fedmsg  h{hid} reserve-ok -> ignored (already resolved)"),
+                        format_args!("fedmsg  h{hid} reserve-ok -> ignored (already resolved)"),
                     );
                 }
             }
@@ -2641,18 +2309,16 @@ impl<'a> Engine<'a> {
                             shard.report.switch_failures += 1;
                         }
                     }
-                    self.slog(
-                        a,
+                    self.shards[a].log.push_args(
                         at_h,
-                        &format!(
+                        format_args!(
                             "fedmsg  h{hid} reserve-err ({error}) -> aborted, old config kept"
                         ),
                     );
                 } else {
-                    self.slog(
-                        a,
+                    self.shards[a].log.push_args(
                         at_h,
-                        &format!("fedmsg  h{hid} reserve-err -> ignored (already resolved)"),
+                        format_args!("fedmsg  h{hid} reserve-err -> ignored (already resolved)"),
                     );
                 }
             }
@@ -2673,16 +2339,17 @@ impl<'a> Engine<'a> {
                         self.res_index.remove(&(b, raw));
                         self.handoffs.get_mut(&hid).expect("tracked").reservation =
                             Reservation::Done;
-                        self.slog(
-                            b,
+                        self.shards[b].log.push_args(
                             at_h,
-                            &format!(
+                            format_args!(
                                 "fedmsg  h{hid} abort -> reservation {rid} released (exact refund)"
                             ),
                         );
                     }
                     _ => {
-                        self.slog(b, at_h, &format!("fedmsg  h{hid} abort -> nothing held"));
+                        self.shards[b]
+                            .log
+                            .push_args(at_h, format_args!("fedmsg  h{hid} abort -> nothing held"));
                     }
                 }
             }
@@ -2720,11 +2387,7 @@ impl<'a> Engine<'a> {
                     debug_assert!(stopped.is_some(), "reservation index tracks holdings");
                     self.shards[b].report.completed += 1;
                     self.directory.insert(req, Loc::Gone { shard: b });
-                    self.slog(
-                        b,
-                        at_h,
-                        &format!("fedmsg  h{hid} commit -> {rid} arrived, user already departed (completed)"),
-                    );
+                    self.shards[b].log.push_args(at_h, format_args!("fedmsg  h{hid} commit -> {rid} arrived, user already departed (completed)"));
                 } else {
                     let parked_tag = if matches!(reservation, Reservation::Parked(_)) {
                         " (parked)"
@@ -2736,11 +2399,7 @@ impl<'a> Engine<'a> {
                     shard.by_session.insert(rid, req);
                     self.wals[b].push(WalRecord::Track { req, sid: raw });
                     self.directory.insert(req, Loc::At { shard: b, id: rid });
-                    self.slog(
-                        b,
-                        at_h,
-                        &format!("fedmsg  h{hid} commit -> session {rid} now owned by shard{b}{parked_tag}"),
-                    );
+                    self.shards[b].log.push_args(at_h, format_args!("fedmsg  h{hid} commit -> session {rid} now owned by shard{b}{parked_tag}"));
                 }
             }
             Reservation::Expired | Reservation::Dead => {
@@ -2750,10 +2409,9 @@ impl<'a> Engine<'a> {
                 if departed {
                     self.shards[b].report.completed += 1;
                     self.directory.insert(req, Loc::Gone { shard: b });
-                    self.slog(
-                        b,
+                    self.shards[b].log.push_args(
                         at_h,
-                        &format!(
+                        format_args!(
                             "fedmsg  h{hid} commit -> lease expired, user departed (completed)"
                         ),
                     );
@@ -2781,10 +2439,9 @@ impl<'a> Engine<'a> {
                                 sid: rid.raw(),
                             });
                             self.directory.insert(req, Loc::At { shard: b, id: rid });
-                            self.slog(
-                                b,
+                            self.shards[b].log.push_args(
                                 at_h,
-                                &format!(
+                                format_args!(
                                     "fedmsg  h{hid} commit -> lease expired, re-admitted as {rid}"
                                 ),
                             );
@@ -2817,11 +2474,7 @@ impl<'a> Engine<'a> {
                                 sid: pid.raw(),
                             });
                             self.directory.insert(req, Loc::At { shard: b, id: pid });
-                            self.slog(
-                                b,
-                                at_h,
-                                &format!("fedmsg  h{hid} commit -> lease expired, parked on arrival as {pid}"),
-                            );
+                            self.shards[b].log.push_args(at_h, format_args!("fedmsg  h{hid} commit -> lease expired, parked on arrival as {pid}"));
                         }
                     }
                 }
@@ -2829,101 +2482,38 @@ impl<'a> Engine<'a> {
             Reservation::None | Reservation::Done => {
                 // Declined reserve followed by a commit cannot happen
                 // (decide aborts on `Reserving`); log defensively.
-                self.slog(
-                    b,
+                self.shards[b].log.push_args(
                     at_h,
-                    &format!("fedmsg  h{hid} commit -> nothing held (ignored)"),
+                    format_args!("fedmsg  h{hid} commit -> nothing held (ignored)"),
                 );
             }
         }
     }
 
-    /// Folds a recovery report into shard `s`'s bookkeeping (the
-    /// serial `absorb_recovery`, made reservation-aware).
-    fn absorb(&mut self, s: usize, rec: &RecoveryReport) -> (String, Vec<u64>) {
-        fed_absorb(
-            rec,
-            s,
-            &mut self.shards[s],
-            &mut self.directory,
-            &mut self.handoffs,
-            &mut self.res_index,
-        )
-    }
-
-    /// The serial per-event epilogue for one touched shard: retry
-    /// drain, invariant sweep (stride-gated per shard), and detector
-    /// soundness. Ends the WAL's per-event record group with a `Mark`
-    /// (coalescing every aggregate counter mutated since the last one)
-    /// and takes a snapshot checkpoint when the tail is long enough.
+    /// The shared per-event epilogue for one touched shard (retry
+    /// drain, stride-gated invariant sweep, detector soundness). Ends
+    /// the WAL's per-event record group with a `Mark` (coalescing every
+    /// aggregate counter and log line since the last one) and takes a
+    /// snapshot checkpoint when the tail is long enough.
     fn finish_event(&mut self, s: usize, at_h: f64) -> Result<(), InvariantViolation> {
-        let result = self.finish_event_inner(s, at_h);
-        if result.is_ok() {
-            self.wal_mark(s);
-            if self.wals[s].due_checkpoint() {
-                self.wals[s].checkpoint(&self.shards[s]);
-            }
-        }
-        result
-    }
-
-    fn finish_event_inner(&mut self, s: usize, at_h: f64) -> Result<(), InvariantViolation> {
-        let retries = self.shards[s].server.process_retries();
+        let hb_end_h = self.tl.hb_end_h;
+        let (shard, mut custody) = self.custody(s);
+        shard.end_event(at_h, hb_end_h, &mut custody)?;
         // Journal the drain even when it moved nothing: retry backoff
         // bookkeeping inside the server advances on every call.
-        if retries.is_empty() {
-            self.wals[s].push(WalRecord::Call(ServerCall::Retries {
-                removed: Vec::new(),
-            }));
-        } else {
-            let (tail, removed) = self.absorb(s, &retries);
-            self.wals[s].push(WalRecord::Call(ServerCall::Retries { removed }));
-            self.slog(s, at_h, &format!("retry   parked queue -> {tail}"));
-        }
-        let shard = &mut self.shards[s];
-        shard.iterations += 1;
-        let stride = shard.cfg.invariant_stride.max(1) as u64;
-        if !shard.iterations.is_multiple_of(stride) {
-            return Ok(());
-        }
-        let event_line = shard.log.lines().last().cloned().unwrap_or_default();
-        shard.report.invariant_checks += 1;
-        let observed: BTreeSet<usize> = if self.imperfect {
-            shard.server.suspected_devices().clone()
-        } else {
-            shard.down.clone()
-        };
-        if let Err(violation) = check_invariants(&shard.server, &observed) {
-            return Err(InvariantViolation {
-                at_h_milli: (at_h * 1000.0).round() as u64,
-                event: event_line,
-                violation,
-            });
-        }
-        if self.imperfect && at_h <= self.hb_end_h + 1e-9 {
-            let lag = shard.cfg.detection_grace_h + shard.cfg.heartbeat_period_h + 1e-6;
-            for (&d, &since) in &shard.det.unreachable_since {
-                if at_h > since + lag && !shard.server.is_suspected(DeviceId::from_index(d)) {
-                    return Err(InvariantViolation {
-                        at_h_milli: (at_h * 1000.0).round() as u64,
-                        event: event_line,
-                        violation: format!(
-                            "detector unsound: dev{d} unreachable since t={since:.4}h \
-                             still unsuspected at t={at_h:.4}h (grace {:.4}h)",
-                            shard.cfg.detection_grace_h
-                        ),
-                    });
-                }
-            }
+        let removed = custody.removed.pop().unwrap_or_default();
+        self.wals[s].push(WalRecord::Call(ServerCall::Retries { removed }));
+        self.wals[s].mark(&self.shards[s]);
+        if self.wals[s].due_checkpoint() {
+            self.wals[s].checkpoint(&self.shards[s]);
         }
         Ok(())
     }
 
-    /// The serial end-of-campaign phase, per shard in index order:
-    /// final anti-entropy sweep and convergence drain (imperfect mode),
-    /// then report finalization. Also asserts the federation reached a
-    /// quiescent state: no undelivered messages, every handoff
-    /// terminal, no reservation still indexed.
+    /// The shared end-of-campaign phase, per shard in index order.
+    /// Also asserts the federation reached a quiescent state: no
+    /// undelivered messages, every handoff terminal, no reservation
+    /// still indexed.
     fn finalize_shards(&mut self) -> Result<(), InvariantViolation> {
         assert!(
             self.pending.is_empty(),
@@ -2962,60 +2552,8 @@ impl<'a> Engine<'a> {
             "no reservation outlives its handoff"
         );
         for s in 0..self.shards.len() {
-            if self.imperfect {
-                for d in 0..self.sizes[s] {
-                    let shard = &self.shards[s];
-                    let unreachable = shard.down.contains(&d) || shard.det.partition_depth[d] > 0;
-                    if unreachable && !shard.server.is_suspected(DeviceId::from_index(d)) {
-                        let shard = &mut self.shards[s];
-                        shard.report.suspicions += 1;
-                        if !shard.down.contains(&d) {
-                            shard.report.false_suspected += 1;
-                        }
-                        let rec = shard.server.suspect_many(&[DeviceId::from_index(d)]);
-                        count_pass(&rec, &mut shard.report);
-                        let (tail, _) = self.absorb(s, &rec);
-                        let last_h = self.shards[s].last_h;
-                        self.slog(
-                            s,
-                            last_h,
-                            &format!("detect  suspect dev{d} (final sweep) -> {tail}"),
-                        );
-                    }
-                }
-                while self.shards[s].server.parked_count() > 0 {
-                    let shard = &mut self.shards[s];
-                    let next_ms = shard
-                        .server
-                        .parked_sessions()
-                        .map(|(_, p)| p.next_retry_ms)
-                        .fold(f64::INFINITY, f64::min);
-                    if next_ms > shard.server.now_ms() {
-                        let delta_s = (next_ms - shard.server.now_ms()) / 1000.0;
-                        shard.server.play(delta_s);
-                    }
-                    let rec = shard.server.process_retries();
-                    let drain_h = shard.server.now_ms() / 3_600_000.0;
-                    let (tail, _) = self.absorb(s, &rec);
-                    self.slog(s, drain_h, &format!("drain   parked queue -> {tail}"));
-                    let shard = &mut self.shards[s];
-                    shard.last_h = shard.last_h.max(drain_h);
-                    shard.report.invariant_checks += 1;
-                    let observed: BTreeSet<usize> = shard.server.suspected_devices().clone();
-                    if let Err(violation) = check_invariants(&shard.server, &observed) {
-                        return Err(InvariantViolation {
-                            at_h_milli: (drain_h * 1000.0).round() as u64,
-                            event: "drain   parked queue".to_owned(),
-                            violation,
-                        });
-                    }
-                }
-            }
-            let shard = &mut self.shards[s];
-            shard.report.live_at_end = shard.server.session_count() as u32;
-            shard.report.parked_at_end = shard.server.parked_count() as u32;
-            shard.report.stale_views = shard.server.stale_view_count() as u32;
-            shard.report.log_digest = shard.log.digest();
+            let (shard, mut custody) = self.custody(s);
+            shard.finalize(&mut custody)?;
         }
         Ok(())
     }
@@ -3073,88 +2611,57 @@ fn probe_type(graph_index: usize) -> &'static str {
     }
 }
 
-/// The serial `absorb_recovery`, extended with reservation custody: a
-/// reserved session swept up by a destination-side recovery pass is
-/// re-tagged on its handoff (parked / re-admitted / dead) instead of
-/// entering the shard's fate ledger — it is not owned here until its
-/// commit arrives. The rendered tail is byte-identical to the serial
-/// harness (at one shard no reservations exist, so the counters match
-/// exactly too).
-fn fed_absorb(
-    rec: &RecoveryReport,
+/// Reservation custody of one shard's recovery passes. A reserved
+/// session swept up by a destination-side pass is re-tagged on its
+/// handoff (parked / re-admitted / dead) instead of entering the
+/// shard's fate ledger — it is not owned here until its commit arrives.
+/// At one shard no reservations exist, so the counters match the serial
+/// loop exactly. Untracked requests leave the directory, and their raw
+/// session ids are collected per pass for the WAL, so replay repeats
+/// exactly this untracking without consulting the (crash-surviving,
+/// engine-level) reservation index.
+struct FedCustody<'e> {
     s: usize,
-    shard: &mut Shard,
-    directory: &mut BTreeMap<usize, Loc>,
-    handoffs: &mut BTreeMap<u64, Handoff>,
-    res_index: &mut BTreeMap<(usize, u64), u64>,
-) -> (String, Vec<u64>) {
-    assert_eq!(
-        rec.dropped.len(),
-        rec.drop_errors.len(),
-        "every drop carries the error witnessing unplaceability"
-    );
-    let mut res_dropped = 0usize;
-    // Session ids untracked from the shard maps, in order — the WAL
-    // records them so replay repeats exactly this untracking without
-    // consulting the (crash-surviving, engine-level) reservation index.
-    let mut removed: Vec<u64> = Vec::new();
-    for (id, (witness_id, _)) in rec.dropped.iter().zip(&rec.drop_errors) {
-        assert_eq!(id, witness_id, "drop witnesses line up");
-        if let Some(hid) = res_index.remove(&(s, id.raw())) {
-            handoffs
-                .get_mut(&hid)
-                .expect("indexed handoff exists")
-                .reservation = Reservation::Dead;
-            res_dropped += 1;
-            continue;
-        }
-        let req = shard
-            .by_session
-            .remove(id)
-            .expect("dropped sessions were tracked");
-        shard.active.remove(&req);
-        removed.push(id.raw());
-        directory.insert(req, Loc::Gone { shard: s });
+    directory: &'e mut BTreeMap<usize, Loc>,
+    handoffs: &'e mut BTreeMap<u64, Handoff>,
+    res_index: &'e mut BTreeMap<(usize, u64), u64>,
+    /// Raw session ids each absorbed pass untracked, one list per pass.
+    removed: Vec<Vec<u64>>,
+}
+
+impl Custody for FedCustody<'_> {
+    fn claim(&mut self, id: SessionId, fate: Swept) -> bool {
+        let key = (self.s, id.raw());
+        let hid = if fate == Swept::Dropped {
+            self.res_index.remove(&key)
+        } else {
+            self.res_index.get(&key).copied()
+        };
+        let Some(hid) = hid else {
+            return false;
+        };
+        self.handoffs
+            .get_mut(&hid)
+            .expect("indexed handoff exists")
+            .reservation = match fate {
+            Swept::Dropped => Reservation::Dead,
+            Swept::Parked => Reservation::Parked(id.raw()),
+            Swept::Readmitted => Reservation::Live(id.raw()),
+        };
+        true
     }
-    let mut res_parked = 0usize;
-    for id in &rec.parked {
-        if let Some(&hid) = res_index.get(&(s, id.raw())) {
-            handoffs
-                .get_mut(&hid)
-                .expect("indexed handoff exists")
-                .reservation = Reservation::Parked(id.raw());
-            res_parked += 1;
-        }
+
+    fn begin_pass(&mut self) {
+        self.removed.push(Vec::new());
     }
-    let mut res_readmitted = 0usize;
-    for id in &rec.readmitted {
-        if let Some(&hid) = res_index.get(&(s, id.raw())) {
-            handoffs
-                .get_mut(&hid)
-                .expect("indexed handoff exists")
-                .reservation = Reservation::Live(id.raw());
-            res_readmitted += 1;
-        }
+
+    fn untracked(&mut self, req: usize, id: SessionId) {
+        self.removed
+            .last_mut()
+            .expect("untracking happens inside a pass")
+            .push(id.raw());
+        self.directory.insert(req, Loc::Gone { shard: self.s });
     }
-    shard.report.replacements += rec.replacements() as u32;
-    shard.report.degraded += rec.degraded.len() as u32;
-    shard.report.parked += (rec.parked.len() - res_parked) as u32;
-    shard.report.readmitted += (rec.readmitted.len() - res_readmitted) as u32;
-    shard.report.dropped += (rec.dropped.len() - res_dropped) as u32;
-    let mut tail = format!(
-        "re-placed {} ({} degraded), parked {}, readmitted {}, dropped {}; affected {}/{}",
-        rec.replacements(),
-        rec.degraded.len(),
-        rec.parked.len(),
-        rec.readmitted.len(),
-        rec.dropped.len(),
-        rec.affected,
-        rec.considered,
-    );
-    for (id, err) in &rec.drop_errors {
-        let _ = write!(tail, "; {id} unplaceable ({err})");
-    }
-    (tail, removed)
 }
 
 #[cfg(test)]
@@ -3359,12 +2866,12 @@ mod tests {
                 for frac in [frac_a, frac_b, 1.0] {
                     let n = (((len + 1) as f64) * frac) as usize;
                     let n = n.min(len);
-                    let once = shard_fingerprint(&wal.replay_prefix(engine.grace_ms, n));
-                    let twice = shard_fingerprint(&wal.replay_prefix(engine.grace_ms, n));
+                    let once = shard_fingerprint(&wal.replay_prefix(engine.tl.grace_ms, n));
+                    let twice = shard_fingerprint(&wal.replay_prefix(engine.tl.grace_ms, n));
                     prop_assert!(once == twice, "prefix replay diverged at {n}/{len} on shard {s}");
                 }
                 // The full prefix reconstructs the live shard exactly.
-                let full = wal.replay_prefix(engine.grace_ms, len);
+                let full = wal.replay_prefix(engine.tl.grace_ms, len);
                 assert_recovered_equal(&engine.shards[s], &full, s);
             }
         }

@@ -7,7 +7,9 @@
 //! * **Serial reference** — at one shard the federated engine must be
 //!   *byte-identical* to the serial DES loop (`run_fault_campaign_with`)
 //!   on the identical merged schedule: same event log bytes, same
-//!   report, under perfect and imperfect detection alike.
+//!   report, under perfect and imperfect detection alike, and whatever
+//!   each driver adds around the shared per-domain arms (the serial
+//!   denial memo, the federation's write-ahead log) is on or off.
 //! * **Digest pins** — at 2, 4, and 8 shards the per-shard event-log
 //!   digests are pinned. The split is part of the observable contract:
 //!   any change to the federation protocol, the ordering rule, or the
@@ -52,6 +54,22 @@ fn pin_cfg(shards: usize) -> FederationConfig {
     }
 }
 
+/// The 1-shard config in every combination of what each driver adds
+/// around the shared per-domain arms: `config_cache` (which gates the
+/// serial loop's denial memo) and the federation's journaling.
+fn one_shard_variants(cfg: &FederationConfig) -> Vec<FederationConfig> {
+    let mut variants = Vec::new();
+    for config_cache in [true, false] {
+        for journal in [true, false] {
+            let mut v = cfg.clone();
+            v.base.config_cache = config_cache;
+            v.durability.enabled = journal;
+            variants.push(v);
+        }
+    }
+    variants
+}
+
 /// Every cross-shard ledger identity that must hold on any outcome:
 /// per-shard fate balance (with handoffs), all handoffs resolved, and
 /// commit/hand-over counter agreement.
@@ -88,19 +106,22 @@ fn assert_ledgers(out: &FederationOutcome, requests: usize) {
 
 #[test]
 fn one_shard_is_byte_identical_to_the_serial_des_reference() {
-    let cfg = pin_cfg(1);
-    let schedule = cfg.schedule();
-    let fed = run_federation_campaign_with(&cfg, &schedule).expect("federated run");
-    let serial = run_fault_campaign_with(&cfg.base, &schedule).expect("serial run");
-    assert_eq!(
-        fed.shards[0].log.render(),
-        serial.log.render(),
-        "the 1-shard event log must be byte-identical to the serial loop"
-    );
-    assert_eq!(fed.shards[0].report, serial.report);
-    assert_eq!(fed.shards[0].report.log_digest, serial.report.log_digest);
-    assert_eq!(fed.stats.messages, 0, "one shard never talks to itself");
-    assert_ledgers(&fed, cfg.base.requests);
+    for cfg in one_shard_variants(&pin_cfg(1)) {
+        let schedule = cfg.schedule();
+        let fed = run_federation_campaign_with(&cfg, &schedule).expect("federated run");
+        let serial = run_fault_campaign_with(&cfg.base, &schedule).expect("serial run");
+        let variant = (cfg.base.config_cache, cfg.durability.enabled);
+        assert_eq!(
+            fed.shards[0].log.render(),
+            serial.log.render(),
+            "the 1-shard event log must be byte-identical to the serial loop \
+             (config_cache, durability) = {variant:?}"
+        );
+        assert_eq!(fed.shards[0].report, serial.report, "{variant:?}");
+        assert_eq!(fed.shards[0].report.log_digest, serial.report.log_digest);
+        assert_eq!(fed.stats.messages, 0, "one shard never talks to itself");
+        assert_ledgers(&fed, cfg.base.requests);
+    }
 }
 
 #[test]
@@ -109,15 +130,22 @@ fn one_shard_stays_byte_identical_under_imperfect_detection() {
     cfg.base.detection_grace_h = 0.5;
     cfg.base.partitions = 2;
     cfg.base.heartbeat_loss = 0.1;
-    let schedule = cfg.schedule();
-    let fed = run_federation_campaign_with(&cfg, &schedule).expect("federated run");
-    let serial = run_fault_campaign_with(&cfg.base, &schedule).expect("serial run");
-    assert_eq!(fed.shards[0].log.render(), serial.log.render());
-    assert_eq!(fed.shards[0].report, serial.report);
-    assert!(
-        serial.report.suspicions > 0,
-        "the imperfect variant must actually exercise the detector"
-    );
+    for cfg in one_shard_variants(&cfg) {
+        let schedule = cfg.schedule();
+        let fed = run_federation_campaign_with(&cfg, &schedule).expect("federated run");
+        let serial = run_fault_campaign_with(&cfg.base, &schedule).expect("serial run");
+        let variant = (cfg.base.config_cache, cfg.durability.enabled);
+        assert_eq!(
+            fed.shards[0].log.render(),
+            serial.log.render(),
+            "(config_cache, durability) = {variant:?}"
+        );
+        assert_eq!(fed.shards[0].report, serial.report, "{variant:?}");
+        assert!(
+            serial.report.suspicions > 0,
+            "the imperfect variant must actually exercise the detector"
+        );
+    }
 }
 
 /// The per-shard digest pins. Any change to the federation protocol,
