@@ -10,10 +10,20 @@
 //! mutation itself: clock advances, session-table track/untrack edits,
 //! every [`DomainServer`] call (admissions, parks, refunds via
 //! `stop_session`, lease renewals, lease expiries, retry drains,
-//! moves/switches), and every injected device fault. Transcript lines
-//! ride in the event-boundary [`WalRecord::Mark`]. Periodic
-//! checkpoints capture a full [`ShardSnapshot`] and truncate the log
+//! moves/switches), and every injected device fault. Periodic
+//! checkpoints capture a [`ShardSnapshot`] and truncate the record
 //! tail, bounding both replay work and journal memory.
+//!
+//! The rendered event log is the one part of a shard that only ever
+//! grows, so the WAL keeps it apart from the records: [`ShardWal`] owns
+//! an append-only durable transcript, and each event-boundary
+//! [`WalRecord::Mark`] copies the lines appended since the previous
+//! mark into it, so every line is written to the WAL exactly once. A
+//! mark and a snapshot then need only the transcript length at that
+//! point: every line before it is already in the transcript, and no
+//! line is ever rewritten, so `transcript[..len]` is the log as it
+//! stood. A checkpoint costs the shard's other state, not the length
+//! of the run.
 //!
 //! On a scheduled `ShardCrash` the engine rebuilds the shard from
 //! `snapshot + tail` replay, asserts the rebuilt state equals the
@@ -33,12 +43,13 @@
 //! raw session ids actually untracked, so replay applies the same map
 //! edits without consulting crash-time engine state. Aggregate
 //! counters, the iteration count, the sweep cursor, and the transcript
-//! lines appended since the previous mark are coalesced into
-//! [`WalRecord::Mark`] records emitted at event boundaries (the crash
-//! instant is itself a boundary). Everything the counters summarize is
-//! already individually journaled by the typed records around them, and
-//! lines never leave the shard, so nothing outside it can observe a line
-//! before its mark.
+//! length are coalesced into [`WalRecord::Mark`] records emitted at
+//! event boundaries (the crash instant is itself a boundary). Everything
+//! the counters summarize is already individually journaled by the typed
+//! records around them, and lines never leave the shard, so nothing
+//! outside it can observe a line before its mark. Recovery reads only
+//! what the WAL owns (snapshot, tail and transcript), never the crashed
+//! shard.
 //!
 //! Volatile profiling state (wall-clock stage times, solver-portfolio
 //! telemetry, composition-cache contents) is checkpointed by value but
@@ -48,7 +59,7 @@
 //! cache semantically invisible.
 
 use crate::domain_server::SessionId;
-use crate::faults::Shard;
+use crate::faults::{EventLog, Shard};
 use serde::{Deserialize, Serialize};
 use ubiqos::fault_report::fnv1a;
 use ubiqos::{ConfigureError, FaultReport};
@@ -138,62 +149,87 @@ pub(crate) enum WalRecord {
     Fault(TimedFault),
     /// Event-boundary coalescence of aggregate state: the full
     /// counter report, the per-shard iteration count, the sweep
-    /// cursor, and the rendered log lines appended since the previous
-    /// mark (replay appends them verbatim). Emitted at every event
-    /// epilogue and at the crash instant itself, so replay lands
+    /// cursor, and the durable transcript's length once the lines
+    /// appended since the previous mark were copied into it (replay
+    /// extends the log to `transcript[..log_len]`). Emitted at every
+    /// event epilogue and at the crash instant itself, so replay lands
     /// exactly on the pre-crash values.
     Mark {
         report: Box<FaultReport>,
         iterations: u64,
         last_sweep_h: Option<f64>,
-        lines: Vec<String>,
+        log_len: usize,
     },
 }
 
-/// A full checkpoint of one shard. The domain server is captured via
+/// A checkpoint of one shard without its event log, which the WAL's
+/// transcript already holds: `log_len` is the log's length at capture,
+/// and the log restores as `transcript[..log_len]`. The domain server
+/// is captured via
 /// [`clone_for_checkpoint`](crate::DomainServer::clone_for_checkpoint)
 /// (fresh event bus, cold composition cache, profiling copied by
 /// value).
 pub(crate) struct ShardSnapshot {
+    /// The shard, its `log` left empty.
     shard: Shard,
+    log_len: usize,
 }
 
 impl ShardSnapshot {
-    /// Captures shard `s` as of now.
+    /// Captures shard `s` as of now; its log lines must already be in
+    /// the transcript.
     pub(crate) fn capture(shard: &Shard) -> Self {
         ShardSnapshot {
-            shard: Shard {
-                server: shard.server.clone_for_checkpoint(),
-                cfg: shard.cfg.clone(),
-                log: shard.log.clone(),
-                report: shard.report.clone(),
-                down: shard.down.clone(),
-                det: shard.det.clone(),
-                active: shard.active.clone(),
-                by_session: shard.by_session.clone(),
-                last_h: shard.last_h,
-                iterations: shard.iterations,
-                last_sweep_h: shard.last_sweep_h,
-            },
+            shard: checkpoint_copy(shard, EventLog::default()),
+            log_len: shard.log.lines().len(),
         }
     }
 
-    /// Materializes a fresh shard from the checkpoint.
-    pub(crate) fn restore(&self) -> Shard {
-        ShardSnapshot::capture(&self.shard).shard
+    /// Materializes a fresh shard from the checkpoint, its log read
+    /// back from `transcript`.
+    pub(crate) fn restore(&self, transcript: &[String]) -> Shard {
+        let mut log = EventLog::default();
+        log.extend_rendered(&transcript[..self.log_len]);
+        checkpoint_copy(&self.shard, log)
+    }
+
+    /// Log lines the snapshot itself holds (none: they live in the
+    /// transcript).
+    #[cfg(test)]
+    fn held_lines(&self) -> usize {
+        self.shard.log.lines().len()
     }
 }
 
-/// One shard's write-ahead log: the last checkpoint plus the typed
-/// record tail appended since.
+/// A copy of `shard` with `log` in place of its event log.
+fn checkpoint_copy(shard: &Shard, log: EventLog) -> Shard {
+    Shard {
+        server: shard.server.clone_for_checkpoint(),
+        cfg: shard.cfg.clone(),
+        log,
+        report: shard.report.clone(),
+        down: shard.down.clone(),
+        det: shard.det.clone(),
+        active: shard.active.clone(),
+        by_session: shard.by_session.clone(),
+        last_h: shard.last_h,
+        iterations: shard.iterations,
+        last_sweep_h: shard.last_sweep_h,
+    }
+}
+
+/// One shard's write-ahead log: the last checkpoint, the typed record
+/// tail appended since, and the durable transcript of every log line
+/// marked so far.
 pub(crate) struct ShardWal {
     enabled: bool,
     checkpoint_every: usize,
     snapshot: Option<ShardSnapshot>,
     pub(crate) tail: Vec<WalRecord>,
-    /// Log lines of the shard already durable (in the snapshot or a
-    /// `Mark`); the next mark carries the rest.
-    logged: usize,
+    /// The shard's rendered log lines up to its last mark or
+    /// checkpoint. Append-only and never truncated, so snapshots and
+    /// marks refer to a prefix of it by length.
+    transcript: Vec<String>,
     /// Records appended over the shard's lifetime (across checkpoint
     /// truncations).
     pub(crate) appended: u64,
@@ -207,16 +243,18 @@ impl ShardWal {
     /// A journal for `shard`, capturing the initial checkpoint when
     /// durability is enabled.
     pub(crate) fn new(cfg: &DurabilityConfig, shard: &Shard) -> Self {
-        ShardWal {
+        let mut wal = ShardWal {
             enabled: cfg.enabled,
             checkpoint_every: cfg.checkpoint_every.max(1),
-            snapshot: cfg.enabled.then(|| ShardSnapshot::capture(shard)),
+            snapshot: None,
             tail: Vec::new(),
-            logged: shard.log.lines().len(),
+            transcript: Vec::new(),
             appended: 0,
             replayed: 0,
             restores: 0,
-        }
+        };
+        wal.checkpoint(shard);
+        wal
     }
 
     /// Appends one record (no-op when durability is disabled).
@@ -228,20 +266,27 @@ impl ShardWal {
     }
 
     /// Journals an event-boundary [`WalRecord::Mark`] for `shard`: its
-    /// counter report, epilogue cursors, and the log lines appended
-    /// since the previous mark (no-op when durability is disabled).
+    /// counter report, epilogue cursors, and the transcript length once
+    /// the log lines appended since the previous mark are copied into
+    /// the transcript (no-op when durability is disabled).
     pub(crate) fn mark(&mut self, shard: &Shard) {
         if !self.enabled {
             return;
         }
-        let lines = shard.log.lines()[self.logged..].to_vec();
-        self.logged = shard.log.lines().len();
+        self.sync_transcript(shard);
         self.push(WalRecord::Mark {
             report: Box::new(shard.report.clone()),
             iterations: shard.iterations,
             last_sweep_h: shard.last_sweep_h,
-            lines,
+            log_len: self.transcript.len(),
         });
+    }
+
+    /// Copies the lines `shard` logged since the last sync into the
+    /// transcript, each line once.
+    fn sync_transcript(&mut self, shard: &Shard) {
+        self.transcript
+            .extend_from_slice(&shard.log.lines()[self.transcript.len()..]);
     }
 
     /// Whether the tail has reached the checkpoint cadence.
@@ -252,15 +297,15 @@ impl ShardWal {
     /// Captures a fresh checkpoint of `shard` and truncates the tail.
     pub(crate) fn checkpoint(&mut self, shard: &Shard) {
         if self.enabled {
+            self.sync_transcript(shard);
             self.snapshot = Some(ShardSnapshot::capture(shard));
             self.tail.clear();
-            self.logged = shard.log.lines().len();
         }
     }
 
-    /// Rebuilds the shard from `snapshot + tail` replay. `grace_ms` is
-    /// the engine's detection grace (the one live heartbeat calls
-    /// used).
+    /// Rebuilds the shard from `snapshot + tail` replay, its log from
+    /// the transcript. `grace_ms` is the engine's detection grace (the
+    /// one live heartbeat calls used).
     pub(crate) fn recover(&mut self, grace_ms: f64) -> Shard {
         let n = self.tail.len();
         let shard = self.replay_prefix(grace_ms, n);
@@ -278,9 +323,9 @@ impl ShardWal {
             .snapshot
             .as_ref()
             .expect("recovery requires durability to be enabled");
-        let mut shard = snapshot.restore();
+        let mut shard = snapshot.restore(&self.transcript);
         for rec in &self.tail[..n] {
-            apply_record(&mut shard, rec, grace_ms);
+            apply_record(&mut shard, rec, grace_ms, &self.transcript);
         }
         shard
     }
@@ -295,8 +340,9 @@ fn untrack_raw(shard: &mut Shard, raw: u64) {
     }
 }
 
-/// Applies one journal record to a shard under reconstruction.
-fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64) {
+/// Applies one journal record to a shard under reconstruction; a
+/// `Mark` extends its log from `transcript`.
+fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64, transcript: &[String]) {
     match rec {
         WalRecord::Advance { at_h } => {
             let delta_h = (at_h - shard.last_h).max(0.0);
@@ -325,12 +371,13 @@ fn apply_record(shard: &mut Shard, rec: &WalRecord, grace_ms: f64) {
             report,
             iterations,
             last_sweep_h,
-            lines,
+            log_len,
         } => {
             shard.report = report.as_ref().clone();
             shard.iterations = *iterations;
             shard.last_sweep_h = *last_sweep_h;
-            shard.log.extend_rendered(lines);
+            let logged = shard.log.lines().len();
+            shard.log.extend_rendered(&transcript[logged..*log_len]);
         }
     }
 }
@@ -516,8 +563,10 @@ mod tests {
         shard.server.play(10.0);
         shard.last_h = 10.0 / 3600.0;
         shard.log.push(0.0, "arrive  req0 -> admitted");
+        let transcript = shard.log.lines().to_vec();
         let snap = ShardSnapshot::capture(&shard);
-        let rebuilt = snap.restore();
+        assert_eq!((snap.held_lines(), snap.log_len), (0, 1));
+        let rebuilt = snap.restore(&transcript);
         assert_recovered_equal(&shard, &rebuilt, 0);
         assert_eq!(shard_fingerprint(&shard), shard_fingerprint(&rebuilt));
     }
@@ -542,7 +591,8 @@ mod tests {
         let mut wal = ShardWal::new(&DurabilityConfig::default(), &shard);
 
         // Live side: advance, admit, track, log — journaling each
-        // mutation exactly as the engine does (lines ride in the mark).
+        // mutation exactly as the engine does (the mark copies the
+        // lines into the transcript).
         let recs = vec![
             WalRecord::Advance { at_h: 0.25 },
             start_call(0),
@@ -550,26 +600,22 @@ mod tests {
             WalRecord::Advance { at_h: 0.5 },
             WalRecord::Call(ServerCall::Stop { sid: 0 }),
             WalRecord::Untrack { req: 0, sid: 0 },
-            WalRecord::Mark {
-                report: Box::new(FaultReport {
-                    events: 2,
-                    arrivals: 1,
-                    admitted: 1,
-                    completed: 1,
-                    ..FaultReport::default()
-                }),
-                iterations: 2,
-                last_sweep_h: None,
-                lines: vec![
-                    "[0000] t=00000.2500h arrive  req0 -> admitted as s0".to_owned(),
-                    "[0001] t=00000.5000h depart  req0 -> completed".to_owned(),
-                ],
-            },
         ];
         for rec in recs {
             wal.push(rec.clone());
-            apply_record(&mut shard, &rec, 180_000.0);
+            apply_record(&mut shard, &rec, 180_000.0, &[]);
         }
+        shard.report = FaultReport {
+            events: 2,
+            arrivals: 1,
+            admitted: 1,
+            completed: 1,
+            ..FaultReport::default()
+        };
+        shard.iterations = 2;
+        shard.log.push(0.25, "arrive  req0 -> admitted as s0");
+        shard.log.push(0.5, "depart  req0 -> completed");
+        wal.mark(&shard);
         let rebuilt = wal.recover(180_000.0);
         assert_recovered_equal(&shard, &rebuilt, 0);
         assert_eq!(wal.replayed, 7);
@@ -598,12 +644,75 @@ mod tests {
             assert_eq!(shard_fingerprint(&once), shard_fingerprint(&twice));
             // Checkpointing at `n` and replaying the rest composes to
             // the full replay.
-            let mut resumed = ShardSnapshot::capture(&once).restore();
+            let mut resumed = ShardSnapshot::capture(&once).restore(&wal.transcript);
             for rec in &wal.tail[n..] {
-                apply_record(&mut resumed, rec, 180_000.0);
+                apply_record(&mut resumed, rec, 180_000.0, &wal.transcript);
             }
             let full = wal.replay_prefix(180_000.0, wal.tail.len());
             assert_eq!(shard_fingerprint(&resumed), shard_fingerprint(&full));
         }
+    }
+
+    #[test]
+    fn transcript_spans_checkpoints_and_snapshots_hold_no_lines() {
+        let mut shard = tiny_shard();
+        let mut wal = ShardWal::new(
+            &DurabilityConfig {
+                enabled: true,
+                checkpoint_every: 4,
+            },
+            &shard,
+        );
+        // One event at a time, as the engine journals it: an advance,
+        // one to three log lines, then the epilogue mark. Two records
+        // per event, so every second event checkpoints.
+        let event = |shard: &mut Shard, wal: &mut ShardWal, i: usize, lines: usize| {
+            let at_h = 0.1 * (i + 1) as f64;
+            let rec = WalRecord::Advance { at_h };
+            wal.push(rec.clone());
+            apply_record(shard, &rec, 180_000.0, &[]);
+            for k in 0..lines {
+                shard.log.push(at_h, &format!("event{i} line{k}"));
+            }
+            shard.report.events += 1;
+            shard.iterations += 1;
+        };
+        let mut checkpoints = 0;
+        for i in 0..9 {
+            event(&mut shard, &mut wal, i, 1 + i % 3);
+            wal.mark(&shard);
+            let snap = wal.snapshot.as_ref().expect("durability is on");
+            assert_eq!(snap.held_lines(), 0, "a snapshot copied log lines");
+            // Every prefix rebuilds the log up to the last mark at or
+            // before it (the snapshot's length when there is none).
+            for n in 0..=wal.tail.len() {
+                let marked = wal.tail[..n]
+                    .iter()
+                    .rev()
+                    .find_map(|rec| match rec {
+                        WalRecord::Mark { log_len, .. } => Some(*log_len),
+                        _ => None,
+                    })
+                    .unwrap_or(snap.log_len);
+                let rebuilt = wal.replay_prefix(180_000.0, n);
+                assert_eq!(rebuilt.log.lines().len(), marked);
+                assert_eq!(rebuilt.log.lines(), &shard.log.lines()[..marked]);
+            }
+            if wal.due_checkpoint() {
+                wal.checkpoint(&shard);
+                checkpoints += 1;
+            }
+        }
+        assert!(checkpoints >= 3, "only {checkpoints} checkpoints");
+        // Crash mid-event, between checkpoints: the crash boundary
+        // marks the partial event, and recovery rebuilds from the WAL.
+        event(&mut shard, &mut wal, 9, 2);
+        shard.report.shard_crashes += 1;
+        wal.mark(&shard);
+        assert_eq!(wal.tail.len(), 4);
+        let rebuilt = wal.recover(180_000.0);
+        assert_recovered_equal(&shard, &rebuilt, 0);
+        // Each line was written to the transcript exactly once.
+        assert_eq!(wal.transcript, shard.log.lines());
     }
 }

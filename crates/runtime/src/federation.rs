@@ -2493,8 +2493,9 @@ impl<'a> Engine<'a> {
     /// The shared per-event epilogue for one touched shard (retry
     /// drain, stride-gated invariant sweep, detector soundness). Ends
     /// the WAL's per-event record group with a `Mark` (coalescing every
-    /// aggregate counter and log line since the last one) and takes a
-    /// snapshot checkpoint when the tail is long enough.
+    /// aggregate counter, and copying the log lines since the last one
+    /// into the WAL's transcript) and takes a snapshot checkpoint when
+    /// the tail is long enough.
     fn finish_event(&mut self, s: usize, at_h: f64) -> Result<(), InvariantViolation> {
         let hb_end_h = self.tl.hb_end_h;
         let (shard, mut custody) = self.custody(s);
